@@ -26,7 +26,7 @@ from .geometry import (
     window_from_config,
     window_to_config,
 )
-from .pattern import PairRecord, PointPattern, load_pattern, pairs_within, save_pattern
+from .pattern import PointPattern, load_pattern, save_pattern
 from .simulate import (
     KFunction,
     MaternClusterModel,

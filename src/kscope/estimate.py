@@ -1,7 +1,8 @@
 """Edge-corrected estimation of generalized K-functions.
 
-Three estimators of ``lam^2 K_B(r)`` are provided, all built from the
-ordered pairs of a pattern:
+Three estimators of ``lam^2 K_B(r)`` are provided, all sums over the
+close pairs of a pattern (each unordered pair is found once and counts
+for both of its orders):
 
 * ``ht``: each pair is weighted by the reciprocal translation overlap
   ``1 / |(W - X_i) intersect (W - X_j)|``, which removes edge bias
@@ -34,7 +35,7 @@ from .geometry import (
     circumradius,
     unit_ball_volume,
 )
-from .pattern import PointPattern, pair_arrays
+from .pattern import PointPattern, close_pairs
 
 __all__ = [
     "EstimatorKind",
@@ -131,6 +132,26 @@ def _require_guard(r_max: float, body: StructuringBody, window: ObservationWindo
             f"query radius reaches {reach:.6g} but the window inradius is "
             f"{rho:.6g}; r_max * circumradius(B) < inball_radius(W) is required"
         )
+
+
+def _require_scaled_domain(
+    window: ObservationWindow, body: StructuringBody, alpha: float, R: float
+) -> float:
+    """Return ``c^alpha`` with ``c = |W|^(1/d)`` after checking the guard.
+
+    The scaled comparison process needs ``c^alpha R circumradius(B) <=
+    inball_radius(W) / 2``; a ValueError names both sides otherwise.
+    """
+    c_alpha = (window.volume() ** (1.0 / body.dimension)) ** alpha
+    reach = c_alpha * R * circumradius(body)
+    rho = window.inball_radius()
+    if not (reach <= rho / 2.0):
+        raise ValueError(
+            f"scaled query radius reaches {reach:.6g} but "
+            f"only half the window inradius ({rho / 2.0:.6g}) is allowed; "
+            "shrink R or alpha, or enlarge the window"
+        )
+    return c_alpha
 
 
 def _check_plus_sampling(
@@ -230,19 +251,21 @@ def k_hat(
         eval_window = p.window
     _require_guard(r_max, body, eval_window)
 
-    ii, jj, diffs, dists = pair_arrays(p.points, body, r_max)
+    # each unordered pair carries the weight of both of its orders
+    ii, jj, diffs, dists = close_pairs(p.points, body, r_max)
     vol = eval_window.volume()
     if kind is EstimatorKind.HT:
-        weights = 1.0 / eval_window.set_covariance(diffs) if dists.size else dists
-    elif kind is EstimatorKind.NAIVE:
-        anchored = eval_window.contains(p.points[ii]) if dists.size else np.ones(0, bool)
-        dists = dists[anchored]
-        weights = np.full(dists.shape, 1.0 / vol)
+        # set covariance is even in the shift, so both orders weigh the same
+        weights = 2.0 / eval_window.set_covariance(diffs) if dists.size else dists
     else:
         inside = eval_window.contains(p.points)
-        both = inside[ii] & inside[jj] if dists.size else np.ones(0, bool)
-        dists = dists[both]
-        weights = np.full(dists.shape, 1.0 / vol)
+        if kind is EstimatorKind.NAIVE:
+            anchors = inside[ii].astype(float) + inside[jj]
+        else:
+            anchors = 2.0 * (inside[ii] & inside[jj])
+        keep = anchors > 0
+        dists = dists[keep]
+        weights = anchors[keep] / vol
     return _step_from_pairs(dists, weights, body, kind, r_max, vol)
 
 
@@ -303,13 +326,14 @@ def sigma2_hat(
             f"kernel support radius {support:.6g} must stay below the window "
             f"inradius {w.inball_radius():.6g}; decrease the bandwidth"
         )
-    ii, jj, diffs, dists = pair_arrays(p.points, euclid, support)
+    _, _, diffs, dists = close_pairs(p.points, euclid, support)
     if dists.size:
         if kernel is KernelKind.INDICATOR:
             kvals = np.ones(dists.shape)
         else:
             kvals = 1.0 - dists / support
-        pair_term = float(np.sum(kvals / w.set_covariance(diffs)))
+        # each unordered pair stands for both of its orders
+        pair_term = 2.0 * float(np.sum(kvals / w.set_covariance(diffs)))
     else:
         pair_term = 0.0
     mass = _KERNEL_INTEGRAL[kernel](d)
@@ -425,17 +449,8 @@ def scaled_delta(
     if eval_window is None:
         raise ValueError("the naive estimator requires an evaluation window")
     vol = eval_window.volume()
-    d = body.dimension
-    c_n = vol ** (1.0 / d)
-    c_alpha = c_n**alpha
+    c_alpha = _require_scaled_domain(eval_window, body, alpha, R)
     u_max = c_alpha * R
-    rho = eval_window.inball_radius()
-    if not (u_max * circumradius(body) <= rho / 2.0):
-        raise ValueError(
-            f"scaled query radius reaches {u_max * circumradius(body):.6g} but "
-            f"only half the window inradius ({rho / 2.0:.6g}) is allowed; "
-            "shrink R or alpha, or enlarge the window"
-        )
     khat = k_hat(p, body, u_max, kind=kind, window=window)
     scale = vol ** (0.5 - alpha)
     jump_rs = np.minimum(khat.jump_radii / c_alpha, R)

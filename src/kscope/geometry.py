@@ -159,8 +159,7 @@ def circumradius(body: StructuringBody) -> float:
     """Euclidean circumradius of B, i.e. ``max{|x| : x in B}``.
 
     Equals ``s`` for the l1 and l2 balls and ``s * sqrt(d)`` for the
-    linf ball.  Used to size grid cells for fixed-radius pair queries
-    and to express window-guard conditions.
+    linf ball.  Used to express window-guard and plus-sampling margins.
     """
     if body.shape is BodyShape.LINF_BALL:
         return body.radius_scale * math.sqrt(body.dimension)

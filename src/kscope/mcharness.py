@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gof
-from .estimate import EstimatorKind, eval_k, k_hat, lambda2_hat, restrict_pattern, sigma2_hat
+from .estimate import (
+    EstimatorKind,
+    _require_scaled_domain,
+    eval_k,
+    k_hat,
+    lambda2_hat,
+    restrict_pattern,
+    sigma2_hat,
+)
 from .geometry import (
     ObservationWindow,
     body_from_config,
@@ -61,17 +69,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-STUDY_KINDS = (
-    "unbiasedness",
-    "variance_convergence",
-    "sigma2_consistency",
-    "null_level",
-    "power",
-    "limit_law",
-    "estimator_equivalence",
-)
-
-_ONE_SAMPLE = (gof.TestKind.KS, gof.TestKind.CVM, gof.TestKind.CHI2)
+_TEST_STUDIES = ("null_level", "power", "limit_law")
 _TWO_SAMPLE = (gof.TestKind.TWO_KS, gof.TestKind.TWO_CVM)
 
 
@@ -143,18 +141,28 @@ class StudyConfig:
             raise ValueError("workers must be >= 1")
         if not (self.limit_constant_scale > 0):
             raise ValueError("limit_constant_scale must be positive")
-        vols = [window_from_config(w).volume() for w in self.windows]
+        windows = [window_from_config(w) for w in self.windows]
+        vols = [w.volume() for w in windows]
         if any(b <= a * (1 + 1e-12) for a, b in zip(vols, vols[1:])):
             raise ValueError("window ladder volumes must be strictly increasing")
         model_from_config(self.model)  # validates parameters
         if self.null_model is not None:
             model_from_config(self.null_model)
-        body_from_config(self.body)
-        for s in self.statistics:
-            gof.TestKind(s)
+        body = body_from_config(self.body)
+        two = [gof.TestKind(s) in _TWO_SAMPLE for s in self.statistics]
         for e in self.estimators:
             EstimatorKind(e)
         EstimatorKind(self.estimator)
+        if self.study in _TEST_STUDIES:
+            if not two:
+                raise ValueError("at least one statistic is required")
+            if any(two) and not all(two):
+                raise ValueError(
+                    "statistics must be all one-sample or all two-sample"
+                )
+            # fail before any replicate runs, not in the first scaled_delta
+            for w in windows:
+                _require_scaled_domain(w, body, self.alpha, self.R)
 
     def to_config(self) -> dict:
         return {
@@ -295,15 +303,8 @@ class _StudyContext:
         self.estimators = tuple(EstimatorKind(e) for e in cfg.estimators)
         self.radii = None if cfg.radii is None else np.asarray(cfg.radii, dtype=float)
         kind = cfg.study
-        if kind in ("null_level", "power", "limit_law"):
-            two = [s in _TWO_SAMPLE for s in self.statistics]
-            if any(two) and not all(two):
-                raise ValueError(
-                    "statistics must be all one-sample or all two-sample"
-                )
-            self.two_sample = all(two) and bool(two)
-            if not self.statistics:
-                raise ValueError("at least one statistic is required")
+        if kind in _TEST_STUDIES:
+            self.two_sample = self.statistics[0] in _TWO_SAMPLE
             if not self.two_sample:
                 self.null_lambda = self.null_model.intensity
                 self.null_kfun = k_function(self.null_model, self.body)
@@ -341,17 +342,8 @@ class _StudyContext:
         base = 2 * (win_idx * self.cfg.replicates + rep_idx)
         seed_a = SeedSpec(self.cfg.master_seed, base)
         seed_b = SeedSpec(self.cfg.master_seed, base + 1)
-        window = self.windows[win_idx]
-        kind = self.cfg.study
-        if kind == "unbiasedness":
-            return self._rep_unbiasedness(window, seed_a)
-        if kind == "variance_convergence":
-            return self._rep_variance(window, seed_a)
-        if kind == "sigma2_consistency":
-            return self._rep_sigma2(window, seed_a)
-        if kind == "estimator_equivalence":
-            return self._rep_equivalence(window, seed_a)
-        return self._rep_statistics(window, seed_a, seed_b)
+        rep, _ = _KERNELS[self.cfg.study]
+        return rep(self, self.windows[win_idx], seed_a, seed_b)
 
     def _simulate_extended(self, window: ObservationWindow, seed: SeedSpec,
                            margin: float, need_extension: bool):
@@ -360,7 +352,7 @@ class _StudyContext:
             return simulate(self.model, window.inflate(margin), seed)
         return simulate(self.model, window, seed)
 
-    def _rep_unbiasedness(self, window, seed) -> np.ndarray:
+    def _rep_unbiasedness(self, window, seed, _seed_b) -> np.ndarray:
         r_max = float(self.radii[-1])
         # the circumradius margin covers plus-sampling for every window shape
         margin = r_max * circumradius(self.body)
@@ -376,7 +368,7 @@ class _StudyContext:
             out.append(eval_k(k, self.radii))
         return np.concatenate(out)
 
-    def _rep_variance(self, window, seed) -> np.ndarray:
+    def _rep_variance(self, window, seed, _seed_b) -> np.ndarray:
         pat = simulate(self.model, window, seed)
         r_max = float(self.radii.max())
         if r_max == 0.0:
@@ -384,12 +376,12 @@ class _StudyContext:
         k = k_hat(pat, self.body, r_max, kind=self.cfg.estimator)
         return np.asarray(eval_k(k, self.radii), dtype=float).reshape(-1)
 
-    def _rep_sigma2(self, window, seed) -> np.ndarray:
+    def _rep_sigma2(self, window, seed, _seed_b) -> np.ndarray:
         pat = simulate(self.model, window, seed)
         val = sigma2_hat(pat, kernel=self.cfg.kernel, bandwidth=self.cfg.bandwidth)
         return np.array([val])
 
-    def _rep_equivalence(self, window, seed) -> np.ndarray:
+    def _rep_equivalence(self, window, seed, _seed_b) -> np.ndarray:
         cfg = self.cfg
         vol = window.volume()
         c_alpha = vol ** (cfg.alpha / self.d)
@@ -438,16 +430,8 @@ class _StudyContext:
     # -- aggregation -------------------------------------------------------
 
     def aggregate(self, per_window: list) -> tuple[list, list]:
-        kind = self.cfg.study
-        if kind == "unbiasedness":
-            return self._agg_unbiasedness(per_window)
-        if kind == "variance_convergence":
-            return self._agg_variance(per_window)
-        if kind == "sigma2_consistency":
-            return self._agg_sigma2(per_window)
-        if kind == "estimator_equivalence":
-            return self._agg_equivalence(per_window)
-        return self._agg_statistics(per_window)
+        _, agg = _KERNELS[self.cfg.study]
+        return agg(self, per_window)
 
     def _window_entry(self, win_idx: int, metrics: dict) -> dict:
         return {
@@ -644,6 +628,21 @@ class _StudyContext:
         if stat in (gof.TestKind.CVM, gof.TestKind.TWO_CVM):
             return gof.limit_constant(stat, self.body, R=cfg.R, weight=self.weight_V)
         return gof.limit_constant(stat, self.body, R=cfg.R, weight=self.weight_v)
+
+
+# study kind -> (replicate, aggregate) methods of _StudyContext
+_KERNELS = {
+    "unbiasedness": (_StudyContext._rep_unbiasedness, _StudyContext._agg_unbiasedness),
+    "variance_convergence": (_StudyContext._rep_variance, _StudyContext._agg_variance),
+    "sigma2_consistency": (_StudyContext._rep_sigma2, _StudyContext._agg_sigma2),
+    "null_level": (_StudyContext._rep_statistics, _StudyContext._agg_statistics),
+    "power": (_StudyContext._rep_statistics, _StudyContext._agg_statistics),
+    "limit_law": (_StudyContext._rep_statistics, _StudyContext._agg_statistics),
+    "estimator_equivalence": (
+        _StudyContext._rep_equivalence, _StudyContext._agg_equivalence,
+    ),
+}
+STUDY_KINDS = tuple(_KERNELS)
 
 
 def _ks_distance(normalized: np.ndarray, chi2_family: bool) -> float:

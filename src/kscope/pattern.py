@@ -1,42 +1,34 @@
 """Point patterns, CSV input/output and fixed-radius pair enumeration.
 
 A :class:`PointPattern` couples a finite set of points with the compact
-window on which it was observed.  Pair enumeration uses a uniform grid
-hash whose cell size equals the Euclidean circumradius of ``r_max * B``,
-so scanning the 3^d neighborhood of a cell is guaranteed to see every
-pair at gauge distance at most ``r_max`` for any of the supported body
-shapes.
+window on which it was observed.  Pair enumeration runs one k-d tree
+search (``scipy.spatial.cKDTree``) in the p-norm of the body and returns
+each unordered pair once; :func:`pair_arrays` is its mirrored, ordered
+view.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, NamedTuple
-
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import ObservationWindow, StructuringBody, circumradius, gauge_norm
+from .geometry import BodyShape, ObservationWindow, StructuringBody, gauge_norm
 
 __all__ = [
     "PointPattern",
-    "PairRecord",
     "load_pattern",
     "save_pattern",
-    "pairs_within",
+    "close_pairs",
     "pair_arrays",
 ]
 
 _AXIS_NAMES = ("x", "y", "z")
 
-
-class PairRecord(NamedTuple):
-    """One ordered pair of distinct points at gauge distance <= r_max."""
-
-    index_i: int
-    index_j: int
-    difference: np.ndarray
-    gauge_distance: float
-
+_MINKOWSKI_P = {
+    BodyShape.L1_BALL: 1.0,
+    BodyShape.L2_BALL: 2.0,
+    BodyShape.LINF_BALL: np.inf,
+}
 
 class PointPattern:
     """Finite point pattern observed in a compact convex window.
@@ -166,13 +158,13 @@ def load_pattern(path, window: ObservationWindow) -> PointPattern:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def pair_arrays(points: np.ndarray, body: StructuringBody, r_max: float):
-    """Ordered pairs at gauge distance at most r_max, as flat arrays.
+def close_pairs(points: np.ndarray, body: StructuringBody, r_max: float):
+    """Unordered pairs at gauge distance at most r_max, as flat arrays.
 
     Parameters
     ----------
     points : ndarray
-        Coordinates of shape (n, d).
+        Coordinates of shape (n, d), with d the body dimension.
     body : StructuringBody
         Body inducing the gauge norm.
     r_max : float
@@ -182,94 +174,51 @@ def pair_arrays(points: np.ndarray, body: StructuringBody, r_max: float):
     Returns
     -------
     (i, j, diff, dist) : tuple of ndarrays
-        Ordered pair indices ``i != j``, difference vectors
-        ``points[j] - points[i]`` and their gauge norms.  Every unordered
-        pair appears in both orientations.
+        Pair indices with ``i < j``, each unordered pair once, difference
+        vectors ``points[j] - points[i]`` and their gauge norms.
 
     Notes
     -----
-    Candidate pairs come from a uniform grid with cell size equal to the
-    Euclidean circumradius of ``r_max * B``; a pair within gauge distance
-    r_max is then never more than one cell apart along any axis, so the
-    half-space neighborhood scan below is exhaustive.
+    Candidates come from ``cKDTree.query_pairs`` in the p-norm of the
+    body at radius ``r_max * radius_scale``, widened by a relative 1e-9
+    so that rounding in the tree never drops a tie.  Distances are then
+    recomputed with :func:`gauge_norm` and filtered against r_max, so the
+    pair set and distances match a brute-force search exactly.
     """
     points = np.asarray(points, dtype=float)
-    n, d = points.shape if points.ndim == 2 else (0, body.dimension)
+    if points.ndim != 2 or points.shape[1] != body.dimension:
+        raise ValueError(
+            f"points of shape {points.shape} do not match body dimension "
+            f"{body.dimension}"
+        )
     if r_max < 0 or not np.isfinite(r_max):
         raise ValueError("r_max must be a nonnegative finite float")
-    empty = (
-        np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        np.zeros((0, d), dtype=float),
-        np.zeros(0, dtype=float),
-    )
-    if n < 2 or r_max == 0.0:
-        return empty
-
-    cell = circumradius(body) * r_max
-    coords = np.floor((points - points.min(axis=0)) / cell).astype(np.int64)
-    uniq_coords, inverse = np.unique(coords, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    sorted_groups = inverse[order]
-    starts = np.searchsorted(sorted_groups, np.arange(len(uniq_coords)))
-    ends = np.append(starts[1:], n)
-    cell_index = {tuple(c): g for g, c in enumerate(uniq_coords.tolist())}
-
-    # one representative offset per +/- pair: first nonzero component positive
-    half_offsets = [
-        off
-        for off in itertools.product((-1, 0, 1), repeat=d)
-        if any(off) and next(v for v in off if v != 0) > 0
-    ]
-
-    cand_i = []
-    cand_j = []
-    for g in range(len(uniq_coords)):
-        members = order[starts[g] : ends[g]]
-        m = members.size
-        if m > 1:
-            a, b = np.triu_indices(m, k=1)
-            cand_i.append(members[a])
-            cand_j.append(members[b])
-        base = uniq_coords[g].tolist()
-        for off in half_offsets:
-            nb = cell_index.get(tuple(b + o for b, o in zip(base, off)))
-            if nb is None:
-                continue
-            other = order[starts[nb] : ends[nb]]
-            cand_i.append(np.repeat(members, other.size))
-            cand_j.append(np.tile(other, m))
-    if not cand_i:
-        return empty
-    ii = np.concatenate(cand_i)
-    jj = np.concatenate(cand_j)
+    if len(points) < 2 or r_max == 0.0:
+        pairs = np.zeros((0, 2), dtype=np.intp)
+    else:
+        pairs = cKDTree(points).query_pairs(
+            r_max * body.radius_scale * (1.0 + 1e-9),
+            p=_MINKOWSKI_P[body.shape],
+            output_type="ndarray",
+        )
+    ii, jj = pairs[:, 0], pairs[:, 1]
     diffs = points[jj] - points[ii]
     dists = gauge_norm(body, diffs)
     keep = dists <= r_max
-    ii, jj, diffs, dists = ii[keep], jj[keep], diffs[keep], dists[keep]
-    # mirror to ordered pairs; gauge norms are symmetric under negation
+    return ii[keep], jj[keep], diffs[keep], dists[keep]
+
+
+def pair_arrays(points: np.ndarray, body: StructuringBody, r_max: float):
+    """Ordered pairs at gauge distance at most r_max, as flat arrays.
+
+    The ordered view of :func:`close_pairs`: every unordered pair appears
+    in both orientations, with differences ``points[j] - points[i]`` and
+    their gauge norms.  Returns ``(i, j, diff, dist)`` with ``i != j``.
+    """
+    ii, jj, diffs, dists = close_pairs(points, body, r_max)
     return (
         np.concatenate((ii, jj)),
         np.concatenate((jj, ii)),
         np.concatenate((diffs, -diffs)),
         np.concatenate((dists, dists)),
     )
-
-
-def pairs_within(
-    p: PointPattern, body: StructuringBody, r_max: float
-) -> Iterator[PairRecord]:
-    """Iterate over ordered point pairs with gauge distance <= r_max.
-
-    Yields
-    ------
-    PairRecord
-        One record per ordered pair (i, j), i != j; the enumeration order
-        is deterministic for a given pattern but otherwise unspecified.
-    """
-    if body.dimension != p.dimension:
-        raise ValueError("body dimension does not match pattern dimension")
-    ii, jj, diffs, dists = pair_arrays(p.points, body, r_max)
-    for k in range(ii.size):
-        yield PairRecord(int(ii[k]), int(jj[k]), diffs[k], float(dists[k]))

@@ -2,7 +2,8 @@
 
 Each test states one advertised property end to end with its tolerance
 spelled out in the assertions.  The Monte-Carlo criteria (7-11) carry
-the ``slow`` marker; run ``pytest -m "not slow"`` for the quick pass.
+the ``slow`` marker, as do the long variance runs of criteria 5 and 6;
+run ``pytest -m "not slow"`` for the quick pass.
 Criterion 10 is an honest negative: at the boundary exponent
 alpha = 1/2 the test has no power against the fixed Thomas alternative
 (measured ~5%), so it is marked xfail with the analysis in its reason
@@ -194,6 +195,7 @@ def test_criterion_04_ht_unbiasedness():
 # -- criterion 5: asymptotic variance -------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_poisson_variance_rate():
     report = run_study({
         "study": "variance_convergence",
@@ -217,6 +219,7 @@ def test_criterion_05_poisson_variance_rate():
 # -- criterion 6: variance-estimator consistency --------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_sigma2_mean_square_consistency():
     report = run_study({
         "study": "sigma2_consistency",

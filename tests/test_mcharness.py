@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kscope.cli import main
 from kscope.gof import limit_constant, normal_quantile, TestKind as Kind
 from kscope.mcharness import (
     StudyConfig,
@@ -155,6 +156,31 @@ def test_study_specific_validation():
         run_study(base_config(
             study="estimator_equivalence", scaled_radius=0.0, radii=None,
         ))
+
+
+def test_scaled_domain_guard_rejects_ladder_early(tmp_path):
+    # c^alpha R circumradius(B) = sqrt(8) * 0.5 * sqrt(3) exceeds rho / 2 = 2
+    cfg = {
+        "study": "null_level",
+        "model": POISSON1,
+        "windows": [
+            {"shape": "box", "bounds": [[0.0] * 3, [8.0] * 3]},
+            {"shape": "box", "bounds": [[0.0] * 3, [11.0] * 3]},
+        ],
+        "body": {"shape": "linf", "dim": 3, "radius_scale": 1.0},
+        "replicates": 4,
+        "master_seed": 5,
+        "statistics": ["ks"],
+        "R": 0.5,
+        "workers": 2,
+    }
+    with pytest.raises(ValueError, match="half the window inradius"):
+        StudyConfig.from_config(cfg)
+    cfg_path = tmp_path / "guard.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["mc", str(cfg_path)]) == 1
+    # the guard only concerns the test-statistic studies
+    StudyConfig.from_config(dict(cfg, study="unbiasedness", radii=[0.5]))
 
 
 def test_named_wrappers_check_study_kind():

@@ -7,11 +7,10 @@ import pytest
 
 from kscope.geometry import BodyShape, Box, Disk, StructuringBody, gauge_norm
 from kscope.pattern import (
-    PairRecord,
     PointPattern,
+    close_pairs,
     load_pattern,
     pair_arrays,
-    pairs_within,
     save_pattern,
 )
 
@@ -188,32 +187,44 @@ def test_save_line_count_large(tmp_path):
 
 
 def test_two_point_pair_symmetry():
-    w = Box([0.0, 0.0], [10.0, 10.0])
-    p = PointPattern([[4.0, 5.0], [5.0, 5.0]], w)
+    pts = np.array([[4.0, 5.0], [5.0, 5.0]])
     body = StructuringBody(2, BodyShape.L2_BALL)
-    recs = list(pairs_within(p, body, 1.0))
-    assert len(recs) == 2
-    assert {(r.index_i, r.index_j) for r in recs} == {(0, 1), (1, 0)}
-    for r in recs:
-        assert isinstance(r, PairRecord)
-        assert r.gauge_distance == 1.0
-        assert np.array_equal(r.difference, p.points[r.index_j] - p.points[r.index_i])
+    ii, jj, diffs, dists = close_pairs(pts, body, 1.0)
+    assert (ii.tolist(), jj.tolist(), dists.tolist()) == ([0], [1], [1.0])
+    assert np.array_equal(diffs, [pts[1] - pts[0]])
+    ii, jj, diffs, dists = pair_arrays(pts, body, 1.0)
+    assert set(zip(ii.tolist(), jj.tolist())) == {(0, 1), (1, 0)}
+    assert dists.tolist() == [1.0, 1.0]
+    assert np.array_equal(diffs, pts[jj] - pts[ii])
 
 
 def test_two_point_pair_below_radius_empty():
-    w = Box([0.0, 0.0], [10.0, 10.0])
-    p = PointPattern([[4.0, 5.0], [5.0, 5.0]], w)
+    pts = np.array([[4.0, 5.0], [5.0, 5.0]])
     body = StructuringBody(2, BodyShape.L2_BALL)
-    assert list(pairs_within(p, body, 0.5)) == []
+    for pairs in (close_pairs, pair_arrays):
+        ii, jj, diffs, dists = pairs(pts, body, 0.5)
+        assert ii.size == jj.size == dists.size == 0
+        assert diffs.shape == (0, 2)
 
 
 def test_tie_at_r_max_included():
-    w = Box([0.0, 0.0], [10.0, 10.0])
-    body = StructuringBody(2, BodyShape.LINF_BALL)
-    p = PointPattern([[1.0, 1.0], [1.75, 1.5]], w)
+    linf = StructuringBody(2, BodyShape.LINF_BALL)
+    pts = np.array([[1.0, 1.0], [1.75, 1.5]])
     # max-coordinate distance is exactly 0.75
-    assert len(list(pairs_within(p, body, 0.75))) == 2
-    assert len(list(pairs_within(p, body, 0.7499999999))) == 0
+    assert close_pairs(pts, linf, 0.75)[0].size == 1
+    assert pair_arrays(pts, linf, 0.75)[0].size == 2
+    assert close_pairs(pts, linf, 0.7499999999)[0].size == 0
+    # r_max * radius_scale is inexact in binary: the tree radius is widened,
+    # and the exact gauge distance decides ties
+    for shape in (BodyShape.L1_BALL, BodyShape.L2_BALL):
+        body = StructuringBody(2, shape, 1.3)
+        for step in ([0.3, 0.0], [0.0, 0.7], [0.1, 0.2], [0.6, 0.8]):
+            far = pts[0] + np.array(step) * 1.3
+            pair = np.array([pts[0], far])
+            g = float(gauge_norm(body, far - pts[0]))
+            ii, _, _, dists = close_pairs(pair, body, g)
+            assert ii.size == 1 and dists[0] == g
+            assert close_pairs(pair, body, np.nextafter(g, 0.0))[0].size == 0
 
 
 def test_pair_arrays_degenerate_inputs():
@@ -230,10 +241,13 @@ def test_pair_arrays_degenerate_inputs():
         pair_arrays(pts, body, math.inf)
 
 
-def test_pairs_within_dimension_mismatch():
-    p = PointPattern([[1.0, 1.0]], Box([0.0, 0.0], [2.0, 2.0]))
-    with pytest.raises(ValueError, match="dimension"):
-        list(pairs_within(p, StructuringBody(3, BodyShape.L2_BALL), 1.0))
+def test_pairs_dimension_mismatch():
+    body = StructuringBody(3, BodyShape.L2_BALL)
+    # checked before the search, also when there is nothing to search
+    for pts in (np.zeros((0, 2)), np.array([[1.0, 1.0]]), np.eye(2)):
+        for pairs in (close_pairs, pair_arrays):
+            with pytest.raises(ValueError, match="dimension"):
+                pairs(pts, body, 1.0)
 
 
 def test_grid_matches_brute_force_small():
@@ -281,6 +295,10 @@ def test_grid_matches_brute_force_battery():
         ii, jj, _, _ = pair_arrays(pts, body, r_max)
         got = set(zip(ii.tolist(), jj.tolist()))
         assert got == want, f"trial {trial}: {len(got)} vs {len(want)} pairs"
+        # the unordered search is the upper triangle: each pair once, i < j
+        ui, uj, _, _ = close_pairs(pts, body, r_max)
+        upper = sorted(zip(ui.tolist(), uj.tolist()))
+        assert upper == sorted((a, b) for a, b in want if a < b)
         checked += 1
     assert checked == 200
 
@@ -313,6 +331,9 @@ def test_translation_leaves_gauge_distances_unchanged():
     shift = np.array([37.0, -12.0])
     p0 = PointPattern(pts, w)
     p1 = PointPattern(pts + shift, Box(w.lower + shift, w.upper + shift))
-    d0 = sorted((r.index_i, r.index_j, r.gauge_distance) for r in pairs_within(p0, body, 1.25))
-    d1 = sorted((r.index_i, r.index_j, r.gauge_distance) for r in pairs_within(p1, body, 1.25))
-    assert d0 == d1
+    for pairs in (close_pairs, pair_arrays):
+        ii, jj, _, dists = pairs(p0.points, body, 1.25)
+        d0 = sorted(zip(ii.tolist(), jj.tolist(), dists.tolist()))
+        ii, jj, _, dists = pairs(p1.points, body, 1.25)
+        d1 = sorted(zip(ii.tolist(), jj.tolist(), dists.tolist()))
+        assert d0 == d1
