@@ -13,6 +13,13 @@ for both of its orders):
 * ``border``: both points must lie in W, weight ``1 / |W|``; negatively
   biased but always available.
 
+Each estimate is a right-continuous step function built from one sort of
+the pair distances: it jumps at every distinct distance, and its value
+there is the running sum of the weights through the last pair of that
+tie.  Pairs at equal distances are summed in an order the sort leaves
+unspecified, so a jump value may differ in the last ulp from another
+summation order; on the same input the result is the same on every run.
+
 The module also estimates the intensity, the second factorial intensity,
 the asymptotic variance of the scaled point count, and builds the scaled
 comparison process used by the goodness-of-fit statistics.
@@ -98,9 +105,7 @@ class KEstimate:
             raise ValueError(
                 f"evaluation radius outside [0, {self.r_max}]"
             )
-        idx = np.searchsorted(self.jump_radii, np.minimum(rr, self.r_max), side="right")
-        padded = np.concatenate(([0.0], self.jump_values))
-        out = padded[idx]
+        out = _step_at(self.jump_radii, self.jump_values, np.minimum(rr, self.r_max))
         return float(out[0]) if single else out
 
     def to_csv(self, path) -> None:
@@ -116,6 +121,30 @@ class KEstimate:
             if self.jump_radii.size == 0 or self.jump_radii[-1] < self.r_max:
                 last = self.jump_values[-1] if self.jump_values.size else 0.0
                 fh.write("%.17g,%.17g\n" % (self.r_max, last))
+
+
+def _step_at(radii: np.ndarray, values: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Right-continuous step function with the given jumps, 0 before the first.
+
+    ``radii`` is strictly increasing and ``values[k]`` holds on
+    ``[radii[k], radii[k + 1])``.
+    """
+    return _value_after(values, np.searchsorted(radii, r, side="right"))
+
+
+def _value_after(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Step value once ``count`` jumps have passed: ``values[count - 1]``, or 0."""
+    out = np.zeros(count.shape)
+    hit = count > 0
+    out[hit] = values[count[hit] - 1]
+    return out
+
+
+def _run_ends(x: np.ndarray) -> np.ndarray:
+    """Mask of the last element of each run of equal values in sorted x."""
+    ends = np.ones(x.shape, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=ends[:-1])
+    return ends
 
 
 def restrict_pattern(p: PointPattern, window: ObservationWindow) -> PointPattern:
@@ -188,21 +217,31 @@ def _check_plus_sampling(
 
 
 def _step_from_pairs(dists, weights, body, kind, r_max, window_volume) -> KEstimate:
-    """Accumulate pair contributions into a sorted step function."""
-    order = np.argsort(dists, kind="stable")
+    """Accumulate pair contributions into a sorted step function.
+
+    One sort orders the pairs by distance and a running sum accumulates
+    their weights.  The step function jumps at the last pair of each run
+    of equal distances, so ``jump_radii`` are the distinct distances and
+    ``jump_values`` the running sum through every pair of each tie.  The
+    sort is not stable: within a tie the summation order is unspecified,
+    which can move a value in its last ulp, but it is fixed for a given
+    input, so reruns are byte-identical.
+    """
+    order = np.argsort(dists)
     d_sorted = dists[order]
-    cum = np.cumsum(weights[order])
-    radii = np.unique(d_sorted)
-    # value at each unique radius is the cumulative sum through its last tie
-    idx_last = np.searchsorted(d_sorted, radii, side="right") - 1
-    values = cum[idx_last] if cum.size else cum
+    cum = weights[order]
+    del order
+    np.cumsum(cum, out=cum)
+    last = _run_ends(d_sorted)
+    if not last.all():
+        d_sorted, cum = d_sorted[last], cum[last]
     return KEstimate(
         body=body,
         kind=kind,
         r_max=float(r_max),
         window_volume=float(window_volume),
-        jump_radii=radii,
-        jump_values=values,
+        jump_radii=d_sorted,
+        jump_values=cum,
     )
 
 
@@ -251,10 +290,13 @@ def k_hat(
         eval_window = p.window
     _require_guard(r_max, body, eval_window)
 
-    # each unordered pair carries the weight of both of its orders
+    # each unordered pair carries the weight of both of its orders; the
+    # pair indices and differences are released once the weights exist,
+    # so only distances and weights are alive through the sort
     ii, jj, diffs, dists = close_pairs(p.points, body, r_max)
     vol = eval_window.volume()
     if kind is EstimatorKind.HT:
+        del ii, jj
         # set covariance is even in the shift, so both orders weigh the same
         weights = 2.0 / eval_window.set_covariance(diffs) if dists.size else dists
     else:
@@ -263,9 +305,11 @@ def k_hat(
             anchors = inside[ii].astype(float) + inside[jj]
         else:
             anchors = 2.0 * (inside[ii] & inside[jj])
+        del ii, jj
         keep = anchors > 0
         dists = dists[keep]
         weights = anchors[keep] / vol
+    del diffs
     return _step_from_pairs(dists, weights, body, kind, r_max, vol)
 
 
@@ -346,9 +390,10 @@ class ScaledDelta:
 
     Represents ``r -> |W|^(1/2 - alpha) (khat(c^alpha r) - lam0^2
     K0(c^alpha r))`` on [0, R] with c = |W|^(1/d).  The empirical part is
-    a step function; jump locations (in scaled units) and the running
-    values are exposed for the piecewise-exact integrators in the test
-    module.
+    a step function; its jump locations ``jump_rs`` (in scaled units,
+    strictly increasing in (0, R]) and the values ``step_values`` it
+    takes there are exposed for the piecewise-exact integrators in the
+    test module.
 
     ``theory_power_beta`` is set when the hypothesized curve is exactly
     ``beta * r^d`` in scaled units (Poisson null), enabling closed-form
@@ -377,9 +422,7 @@ class ScaledDelta:
         r = np.asarray(r, dtype=float)
         single = r.ndim == 0
         rr = np.atleast_1d(r)
-        idx = np.searchsorted(self.jump_rs, rr, side="right")
-        padded = np.concatenate(([0.0], self.step_values))
-        out = padded[idx]
+        out = _step_at(self.jump_rs, self.step_values, rr)
         return float(out[0]) if single else out
 
     def theoretical(self, r):
@@ -453,8 +496,13 @@ def scaled_delta(
     u_max = c_alpha * R
     khat = k_hat(p, body, u_max, kind=kind, window=window)
     scale = vol ** (0.5 - alpha)
+    # dividing by c^alpha (or clipping at R) can merge adjacent radii; the
+    # last of each run carries the value through all of them
     jump_rs = np.minimum(khat.jump_radii / c_alpha, R)
     step_values = scale * khat.jump_values
+    last = _run_ends(jump_rs)
+    if not last.all():
+        jump_rs, step_values = jump_rs[last], step_values[last]
     beta = None
     pc = getattr(null_k, "power_coeff", None)
     if pc is not None:

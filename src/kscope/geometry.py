@@ -130,14 +130,30 @@ def gauge_norm(body: StructuringBody, x) -> np.ndarray | float:
             f"vector dimension {pts.shape[1]} does not match body dimension "
             f"{body.dimension}"
         )
-    if body.shape is BodyShape.L1_BALL:
-        norms = np.abs(pts).sum(axis=1)
-    elif body.shape is BodyShape.L2_BALL:
-        norms = np.sqrt((pts * pts).sum(axis=1))
-    else:
-        norms = np.abs(pts).max(axis=1)
-    norms = norms / body.radius_scale
+    norms = _row_norms(pts, body.shape)
+    norms /= body.radius_scale
     return float(norms[0]) if single else norms
+
+
+def _row_norms(pts: np.ndarray, shape: BodyShape) -> np.ndarray:
+    """p-norm of each row of an (n, d) array, built one column at a time.
+
+    Elementwise passes over the d columns add, compare and multiply in
+    the same left-to-right order as the ``axis=1`` reductions they stand
+    for, so the results are bit-identical, without the per-row overhead
+    those reductions carry on narrow arrays.
+    """
+    cols = pts.T
+    if shape is BodyShape.L2_BALL:
+        acc = cols[0] * cols[0]
+        for c in cols[1:]:
+            acc += c * c
+        return np.sqrt(acc, out=acc)
+    combine = np.add if shape is BodyShape.L1_BALL else np.maximum
+    acc = np.abs(cols[0])
+    for c in cols[1:]:
+        combine(acc, np.abs(c), out=acc)
+    return acc
 
 
 def body_volume(body: StructuringBody) -> float:
@@ -260,8 +276,11 @@ class Box(ObservationWindow):
         shifts = np.atleast_2d(y)
         if shifts.shape[1] != self.dimension:
             raise ValueError("shift dimension does not match window dimension")
-        sides = self.side_lengths[None, :]
-        out = np.prod(np.maximum(sides - np.abs(shifts), 0.0), axis=1)
+        # product of the per-axis overlaps, one column at a time
+        sides, cols = self.side_lengths, shifts.T
+        out = np.maximum(sides[0] - np.abs(cols[0]), 0.0)
+        for side, c in zip(sides[1:], cols[1:]):
+            out *= np.maximum(side - np.abs(c), 0.0)
         return float(out[0]) if single else out
 
     def erosion_volume(self, r: float) -> float:
@@ -333,7 +352,7 @@ class Disk(ObservationWindow):
         shifts = np.atleast_2d(y)
         if shifts.shape[1] != 2:
             raise ValueError("shift dimension does not match window dimension")
-        u = np.sqrt((shifts * shifts).sum(axis=1))
+        u = _row_norms(shifts, BodyShape.L2_BALL)
         R = self.radius
         out = np.zeros(u.shape)
         inside = u < 2.0 * R

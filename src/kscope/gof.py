@@ -33,6 +33,8 @@ from .estimate import (
     EstimatorKind,
     KernelKind,
     ScaledDelta,
+    _run_ends,
+    _value_after,
     lambda_hat,
     lambda2_hat,
     restrict_pattern,
@@ -349,14 +351,38 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _piece_boundaries(delta: ScaledDelta) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints 0 = t_0 < ... < t_m = R and the step value per piece."""
-    t = np.unique(np.concatenate(([0.0], delta.jump_rs, [delta.R])))
-    steps = delta.empirical(t[:-1])
+    """Breakpoints 0 = t_0 < ... < t_m = R and the step value per piece.
+
+    The jumps are strictly increasing in (0, R], so a piece starts at 0
+    (where the step is 0) and at every jump below R.
+    """
+    m = int(np.searchsorted(delta.jump_rs, delta.R))
+    t = np.concatenate(([0.0], delta.jump_rs[:m], [delta.R]))
+    steps = np.concatenate(([0.0], delta.step_values[:m]))
     return t, steps
 
 
 def _gl_integral(fvals: np.ndarray, halves: np.ndarray) -> float:
     return float(np.sum(halves * (fvals * _GL_WEIGHTS[None, :]).sum(axis=1)))
+
+
+def _piece_masses(t: np.ndarray, weight: IntegralWeight, d: int) -> np.ndarray:
+    """Mass of dV on each piece [t_k, t_k+1], by Gauss-Legendre in chunks.
+
+    Chunking bounds the node arrays to 16 values per piece of one chunk.
+    """
+    lo, hi = t[:-1], t[1:]
+    masses = np.empty(lo.size)
+    chunk = 20000
+    for start in range(0, lo.size, chunk):
+        a = lo[start : start + chunk]
+        b = hi[start : start + chunk]
+        halves = (b - a) / 2.0
+        r = (a + b)[:, None] / 2.0 + halves[:, None] * _GL_NODES[None, :]
+        masses[start : start + chunk] = halves * (
+            weight.density(r, d) * _GL_WEIGHTS[None, :]
+        ).sum(axis=1)
+    return masses
 
 
 def _cvm_integral(delta: ScaledDelta, weight: IntegralWeight) -> float:
@@ -397,9 +423,14 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
     """
     t, steps = _piece_boundaries(delta)
     theo = np.asarray(delta.theoretical(t), dtype=float)
-    vw = weight.eval(t)
-    right_cand = np.abs(steps - theo[:-1]) * vw[:-1]
-    left_cand = np.abs(steps - theo[1:]) * vw[1:]
+    right_cand = steps - theo[:-1]
+    left_cand = steps - theo[1:]
+    np.abs(right_cand, out=right_cand)
+    np.abs(left_cand, out=left_cand)
+    if weight.kind != "const_one":
+        vw = weight.eval(t)
+        right_cand *= vw[:-1]
+        left_cand *= vw[1:]
     best = max(float(right_cand.max(initial=0.0)), float(left_cand.max(initial=0.0)))
     if weight.kind == "const_one":
         return best
@@ -744,8 +775,25 @@ def _two_sample_inputs(
 
 
 def _merged_steps(da: ScaledDelta, db: ScaledDelta):
-    t = np.unique(np.concatenate(([0.0], da.jump_rs, db.jump_rs, [da.R])))
-    diff = da.empirical(t[:-1]) - db.empirical(t[:-1])
+    """Breakpoints of both step functions and their difference per piece.
+
+    Both jump sets are sorted, so a stable argsort of their concatenation
+    is one merge.  Counting the jumps of ``da`` along it gives, at each
+    merged jump, how many jumps of either side lie at or below it; the
+    last of each run of equal radii has passed every jump of that tie.
+    """
+    ra = da.jump_rs
+    merged = np.concatenate((ra, db.jump_rs))
+    order = np.argsort(merged, kind="stable")
+    r = merged[order]
+    starts = np.flatnonzero(_run_ends(r) & (r < da.R))
+    n_a = np.cumsum(order < ra.size)[starts]
+    n_b = starts + 1 - n_a
+    t = np.concatenate(([0.0], r[starts], [da.R]))
+    diff = np.concatenate((
+        [0.0],
+        _value_after(da.step_values, n_a) - _value_after(db.step_values, n_b),
+    ))
     return t, diff
 
 
@@ -806,9 +854,7 @@ def two_sample_reports(
             if weight.kind == "lebesgue":
                 masses = np.diff(t)
             else:
-                halves = np.diff(t) / 2.0
-                r = (t[:-1] + t[1:])[:, None] / 2.0 + halves[:, None] * _GL_NODES[None, :]
-                masses = halves * (weight.density(r, d) * _GL_WEIGHTS[None, :]).sum(axis=1)
+                masses = _piece_masses(t, weight, d)
             stat = float(np.sum(diff**2 * masses)) / den_curve + count_sq
             c = limit_constant(kind, body, R=R, weight=weight)
         else:

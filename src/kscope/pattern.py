@@ -202,9 +202,12 @@ def close_pairs(points: np.ndarray, body: StructuringBody, r_max: float):
             output_type="ndarray",
         )
     ii, jj = pairs[:, 0], pairs[:, 1]
-    diffs = points[jj] - points[ii]
+    diffs = points[jj]
+    diffs -= points[ii]
     dists = gauge_norm(body, diffs)
     keep = dists <= r_max
+    if keep.all():
+        return ii, jj, diffs, dists
     return ii[keep], jj[keep], diffs[keep], dists[keep]
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from kscope.estimate import (
     EstimatorKind,
+    KEstimate,
     KernelKind,
+    _require_scaled_domain,
     eval_k,
     k_hat,
     lambda2_hat,
@@ -16,7 +18,8 @@ from kscope.estimate import (
     scaled_delta,
     sigma2_hat,
 )
-from kscope.geometry import BodyShape, Box, Disk, StructuringBody
+from kscope.geometry import BodyShape, Box, Disk, StructuringBody, gauge_norm
+from kscope.gof import _piece_boundaries
 from kscope.pattern import PointPattern
 from kscope.simulate import PoissonModel, SeedSpec, k_function, simulate
 
@@ -229,6 +232,96 @@ def test_jump_multiplicity_even():
     counts = increments * k.window_volume
     assert np.allclose(counts, np.round(counts), atol=1e-9)
     assert np.all(np.round(counts).astype(int) % 2 == 0)
+
+
+# ---------------------------------------------------------------------------
+# step-function construction on heavily tied distances
+
+
+def lattice(lo, hi):
+    """Half-integer lattice points in [lo, hi]^2: every gauge distance ties."""
+    axis = np.arange(lo + 0.5, hi, 1.0)
+    return np.array([(x, y) for x in axis for y in axis])
+
+
+def brute_force_step(pts, body, r_max, kind, w):
+    """Distinct ordered-pair distances up to r_max and the cumulative weight.
+
+    Weights per ordered pair (i, j) on the evaluation window w: ht
+    ``1 / |W cap (W - diff)|``, border ``1[X_i, X_j in W] / |W|``, naive
+    ``1[X_i in W] / |W|``.  Pairs of zero weight add no jump.
+    """
+    i, j = np.nonzero(~np.eye(len(pts), dtype=bool))
+    diffs = pts[j] - pts[i]
+    r = gauge_norm(body, diffs)
+    inside = w.contains(pts)
+    if kind == "ht":
+        weights = 1.0 / w.set_covariance(diffs)
+    elif kind == "border":
+        weights = (inside[i] & inside[j]) / w.volume()
+    else:
+        weights = inside[i] / w.volume()
+    keep = (r <= r_max) & (weights > 0)
+    radii, tie = np.unique(r[keep], return_inverse=True)
+    return radii, np.cumsum(np.bincount(tie, weights=weights[keep]))
+
+
+@pytest.mark.parametrize("shape", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("kind", ["ht", "border", "naive"])
+def test_step_function_on_tied_lattice(shape, kind):
+    body = StructuringBody(2, shape)
+    r_max = 3.0
+    w = Box([0.0, 0.0], [12.0, 12.0])
+    if kind == "naive":
+        pts = lattice(-4.0, 16.0)
+        p = PointPattern(pts, Box([-4.0, -4.0], [16.0, 16.0]))
+        k = k_hat(p, body, r_max, kind=kind, window=w)
+    else:
+        pts = lattice(0.0, 12.0)
+        p = PointPattern(pts, w)
+        k = k_hat(p, body, r_max, kind=kind)
+    radii, values = brute_force_step(pts, body, r_max, kind, w)
+    assert np.all(np.diff(k.jump_radii) > 0)
+    assert np.array_equal(k.jump_radii, radii)
+    np.testing.assert_allclose(k.jump_values, values, rtol=1e-12, atol=0)
+
+    if kind == "naive":
+        return
+    R = 0.6
+    kf = k_function(PoissonModel(1.0), body)
+    delta = scaled_delta(p, body, 1.0, kf, 0.5, R, kind=kind)
+    assert np.all(np.diff(delta.jump_rs) > 0)
+    assert 0.0 < delta.jump_rs[0] and delta.jump_rs[-1] <= R
+    # the breakpoints read off the jumps equal a fresh sort and lookup
+    t, steps = _piece_boundaries(delta)
+    t_ref = np.unique(np.concatenate(([0.0], delta.jump_rs, [R])))
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(steps, delta.empirical(t_ref[:-1]))
+
+
+def test_scaled_delta_merges_coinciding_radii(monkeypatch):
+    """Radii equal after division by c^alpha become one jump, the last one.
+
+    The largest radius, ``u = c^alpha R``, divides to just above R and is
+    clipped to R, where it must start no piece.
+    """
+    alpha = 0.5
+    c_alpha = _require_scaled_domain(BOX10, L2, alpha, 0.5)
+    R = next(x for x in np.linspace(0.5, 0.7, 1000) if c_alpha * x / c_alpha > x)
+    u = c_alpha * R
+    r = next(
+        x for x in np.linspace(0.5 * u, 0.9 * u, 1000)
+        if np.nextafter(x, np.inf) / c_alpha == x / c_alpha
+    )
+    radii = np.array([0.1, r, np.nextafter(r, np.inf), u])
+    fake = KEstimate(L2, EstimatorKind.HT, u, 100.0, radii, np.array([1.0, 2.0, 3.0, 4.0]))
+    monkeypatch.setattr("kscope.estimate.k_hat", lambda *args, **kwargs: fake)
+    delta = scaled_delta(two_point_pattern(), L2, 1.0, k_function(PoissonModel(1.0), L2), alpha, R)
+    assert np.array_equal(delta.jump_rs, [0.1 / c_alpha, r / c_alpha, R])
+    assert np.array_equal(delta.step_values, delta.scale * np.array([1.0, 3.0, 4.0]))
+    t, steps = _piece_boundaries(delta)
+    assert np.array_equal(t, [0.0, 0.1 / c_alpha, r / c_alpha, R])
+    assert np.array_equal(steps, delta.scale * np.array([0.0, 1.0, 3.0]))
 
 
 def test_restrict_pattern():

@@ -80,6 +80,21 @@ def test_gauge_norm_vectorized_matches_scalar():
         assert np.array_equal(batch, singles)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gauge_norm_matches_linalg_norm(d):
+    """Gauge norms equal numpy's vector p-norms divided by the scale."""
+    rng = np.random.default_rng(17)
+    xs = rng.normal(size=(200, d)) * rng.uniform(0.1, 50.0, size=(200, 1))
+    s = float(rng.uniform(0.3, 3.0))
+    for shape, order in (("l1", 1), ("l2", 2), ("linf", np.inf)):
+        got = gauge_norm(StructuringBody(d, shape, s), xs)
+        want = np.linalg.norm(xs, ord=order, axis=1) / s
+        if shape == "l2":
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(got, want)
+
+
 def test_gauge_norm_properties():
     """Positive homogeneity, symmetry under negation, zero at origin."""
     rng = np.random.default_rng(12)
@@ -192,6 +207,22 @@ def test_set_covariance_vectorized():
         batch = set_covariance(w, ys)
         singles = np.array([set_covariance(w, y) for y in ys])
         assert np.array_equal(batch, singles)
+
+
+def test_set_covariance_box_3d_written_out():
+    """|W cap (W - y)| of a 3-d box is the product of the axis overlaps."""
+    rng = np.random.default_rng(18)
+    w = Box([-1.0, 2.0, 0.5], [3.0, 9.5, 2.75])
+    sides = w.upper - w.lower
+    ys = rng.uniform(-8.0, 8.0, size=(300, 3))
+    want = [
+        max(sides[0] - abs(y[0]), 0.0)
+        * max(sides[1] - abs(y[1]), 0.0)
+        * max(sides[2] - abs(y[2]), 0.0)
+        for y in ys
+    ]
+    np.testing.assert_allclose(w.set_covariance(ys), want, rtol=1e-15, atol=0)
+    assert np.any(np.array(want) == 0.0) and np.any(np.array(want) > 0.0)
 
 
 def test_inball_radius_examples():

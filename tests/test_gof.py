@@ -29,6 +29,8 @@ from kscope.gof import (
     two_sample_cvm,
     two_sample_ks,
     two_sample_reports,
+    _merged_steps,
+    _piece_masses,
 )
 from kscope.pattern import PointPattern
 from kscope.simulate import (
@@ -129,6 +131,24 @@ def test_exp_density_integral_against_simpson():
     rs = np.linspace(0.0, R, 100_001)
     oracle = integrate.simpson(rs ** (2 * d) * np.exp(-1.3 * rs ** (2 * d + 1)), x=rs)
     assert w.integral_r2d(R, d) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_piece_masses_match_quadrature():
+    """Chunked Gauss-Legendre masses of exp_density pieces equal quadrature."""
+    w = IntegralWeight("exp_density", b=1.3)
+    R = 1.2
+    t = np.linspace(0.0, R, 45_002)  # 45,001 pieces span three chunks
+    masses = _piece_masses(t, w, 2)
+    assert masses.shape == (45_001,)
+
+    def mass(lo, hi):
+        return integrate.quad(
+            lambda r: float(w.density(r, 2)), lo, hi, epsabs=0.0, epsrel=1e-13
+        )[0]
+
+    assert masses.sum() == pytest.approx(mass(0.0, R), rel=1e-12)
+    for k in (0, 19_999, 20_000, 45_000):
+        assert masses[k] == pytest.approx(mass(t[k], t[k + 1]), rel=1e-12)
 
 
 def test_exp_decay_sup_against_dense_grid():
@@ -581,6 +601,31 @@ def test_two_sample_cvm_matches_manual_integration():
         lam_a - lam_b
     ) ** 2 / (s2_a + s2_b)
     assert rep.statistic == pytest.approx(oracle, rel=1e-10)
+
+
+def test_merged_steps_match_fresh_sort():
+    """Breakpoints read off one merge equal a fresh sort and two lookups.
+
+    Two subsets of one lattice share most of their tied distances, so the
+    merge meets ties within and across the two sides.
+    """
+    rng = np.random.default_rng(74)
+    lattice = grid_pattern().points
+    R = 0.55
+    for _ in range(5):
+        da, db = (
+            scaled_delta(
+                PointPattern(lattice[rng.random(len(lattice)) < 0.7], BOX10),
+                L2, 1.0, POISSON_K, 0.5, R,
+            )
+            for _ in range(2)
+        )
+        t, diff = _merged_steps(da, db)
+        t_ref = np.unique(np.concatenate(([0.0], da.jump_rs, db.jump_rs, [R])))
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(diff, da.empirical(t_ref[:-1]) - db.empirical(t_ref[:-1]))
+        t_ba, diff_ba = _merged_steps(db, da)
+        assert np.array_equal(t_ba, t) and np.array_equal(diff_ba, -diff)
 
 
 # ---------------------------------------------------------------------------
