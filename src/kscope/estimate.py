@@ -468,7 +468,9 @@ def scaled_delta(
     null_k : callable
         Hypothesized K-function of the absolute radius; a
         ``KFunction`` with ``power_coeff`` set unlocks closed-form
-        integration downstream.
+        integration downstream.  It must be nondecreasing, as every
+        K-function is: the weighted supremum statistic relies on it to
+        bound each piece by its corners.
     alpha : float
         Scaling exponent in (0, 1/2].
     R : float

@@ -16,7 +16,11 @@ integrand is a smooth function that is integrated in closed form when
 the hypothesized curve is a pure power of r (Poisson) and by fixed-order
 Gauss-Legendre quadrature otherwise.  The supremum (Kolmogorov-Smirnov
 type) statistics evaluate a candidate set containing every jump corner
-plus, for non-constant weights, refined interior maxima.
+plus, for non-constant weights, refined interior maxima.  Because the
+hypothesized K is nondecreasing and the weight nonincreasing, each piece
+is bounded by its larger corner difference times the weight at its left
+end; only the pieces whose bound reaches the best corner are searched
+for interior maxima, and no other piece could change the result.
 """
 
 from __future__ import annotations
@@ -415,33 +419,56 @@ def _cvm_integral(delta: ScaledDelta, weight: IntegralWeight) -> float:
 def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
     """Supremum of |delta(r) v(r)| over [0, R].
 
-    Corner candidates (each jump's value and left limit, both endpoints)
-    are exact maximizers when v is constant, because the smooth part is
-    monotone on every piece.  For decaying v a per-piece grid locates
-    interior maxima and the best pieces are polished with bounded scalar
-    optimization on the squared objective.
+    On a piece [lo, hi] the empirical part is a constant h and the
+    hypothesized curve theta is nondecreasing, so h - theta(r) is monotone
+    there; with v nonincreasing, every value on the piece is at most
+    ``max(|h - theta(lo)|, |h - theta(hi)|) v(lo)``.  For constant v the
+    corner candidates (each jump's value and left limit, both endpoints)
+    therefore attain the sup.  For decaying v the corners give a first
+    ``best``; a 64-point grid then searches for interior maxima, but only
+    on the pieces whose bound reaches ``best (1 - 1e-6)``, the contender
+    tolerance (less a further 1e-9 for rounding in theta and exp).  Any
+    other piece can neither raise the sup nor become a contender, so
+    pruning it changes neither the contenders nor the result.  The first
+    64 contenders are polished with bounded scalar optimization on the
+    squared objective.
     """
+    if weight.kind == "const_one":
+        # corners read off views of the jumps, so the peak stays at scaled_delta's
+        m = int(np.searchsorted(delta.jump_rs, delta.R))
+        jumps = delta.jump_rs[:m]
+        steps = delta.step_values[:m]
+        theo = np.asarray(delta.theoretical(jumps), dtype=float)
+        theo_0, theo_r = np.asarray(
+            delta.theoretical(np.array([0.0, delta.R])), dtype=float
+        )
+        last = steps[-1] if m else 0.0
+        best = max(abs(float(theo_0)), abs(float(last - theo_r)))
+        if m:
+            diff = np.subtract(steps, theo)  # the value at each jump
+            best = max(best, float(np.abs(diff, out=diff).max()))
+            diff[0] = theo[0]  # the left limit at each jump
+            np.subtract(steps[:-1], theo[1:], out=diff[1:])
+            best = max(best, float(np.abs(diff, out=diff).max()))
+        return best
     t, steps = _piece_boundaries(delta)
     theo = np.asarray(delta.theoretical(t), dtype=float)
-    right_cand = steps - theo[:-1]
-    left_cand = steps - theo[1:]
-    np.abs(right_cand, out=right_cand)
-    np.abs(left_cand, out=left_cand)
-    if weight.kind != "const_one":
-        vw = weight.eval(t)
-        right_cand *= vw[:-1]
-        left_cand *= vw[1:]
-    best = max(float(right_cand.max(initial=0.0)), float(left_cand.max(initial=0.0)))
-    if weight.kind == "const_one":
-        return best
-    lo, hi = t[:-1], t[1:]
+    right = np.abs(steps - theo[:-1])
+    left = np.abs(steps - theo[1:])
+    vw = weight.eval(t)
+    best = max(
+        float((right * vw[:-1]).max(initial=0.0)),
+        float((left * vw[1:]).max(initial=0.0)),
+    )
+    bound = np.maximum(right, left)
+    bound *= vw[:-1]
+    keep = np.flatnonzero(bound >= best * (1.0 - 1e-6) * (1.0 - 1e-9))
     frac = np.linspace(0.0, 1.0, 66)[1:-1]
     chunk = 20000
-    piece_best = np.zeros(lo.size)
-    for start in range(0, lo.size, chunk):
-        a = lo[start : start + chunk]
-        b = hi[start : start + chunk]
-        h = steps[start : start + chunk]
+    piece_best = np.empty(keep.size)
+    for start in range(0, keep.size, chunk):
+        k = keep[start : start + chunk]
+        a, b, h = t[k], t[k + 1], steps[k]
         r = a[:, None] + (b - a)[:, None] * frac[None, :]
         f = np.abs(
             (h[:, None] - np.asarray(delta.theoretical(r), dtype=float))
@@ -450,7 +477,7 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
         piece_best[start : start + chunk] = f.max(axis=1)
     best = max(best, float(piece_best.max(initial=0.0)))
     # polish the contenders: bounded search on the smooth squared objective
-    contenders = np.nonzero(piece_best >= best * (1.0 - 1e-6))[0]
+    contenders = keep[piece_best >= best * (1.0 - 1e-6)]
     for k in contenders[:64]:
         h = float(steps[k])
 
@@ -460,7 +487,7 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
 
         res = optimize.minimize_scalar(
             neg_sq,
-            bounds=(float(lo[k]), float(hi[k])),
+            bounds=(float(t[k]), float(t[k + 1])),
             method="bounded",
             options={"xatol": 1e-13 * max(1.0, delta.R)},
         )
@@ -715,7 +742,9 @@ def ks_statistic(
     Takes the weighted sup of the absolute scaled comparison process over
     [0, R], studentizes by ``lambda_hat * sqrt(sigma2_hat)`` and adds the
     studentized absolute count deviation; its null limit is
-    ``(2 |B| sup r^d v + 1) |N(0,1)|``.
+    ``(2 |B| sup r^d v + 1) |N(0,1)|``.  The hypothesized K-function
+    ``null_k`` must be nondecreasing, as every K-function is; the
+    weighted sup relies on it to bound each piece by its corners.
     """
     return one_sample_reports(
         p, body, null_lambda, null_k, alpha, R,

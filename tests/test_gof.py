@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
-from kscope.estimate import lambda2_hat, lambda_hat, scaled_delta, sigma2_hat
-from kscope.geometry import BodyShape, Box, StructuringBody
+from kscope.estimate import (
+    EstimatorKind,
+    ScaledDelta,
+    lambda2_hat,
+    lambda_hat,
+    scaled_delta,
+    sigma2_hat,
+)
+from kscope.geometry import BodyShape, Box, Disk, StructuringBody
 from kscope.gof import (
     CHI2_1,
     HALF_NORMAL,
@@ -29,6 +36,7 @@ from kscope.gof import (
     two_sample_cvm,
     two_sample_ks,
     two_sample_reports,
+    _ks_sup,
     _merged_steps,
     _piece_masses,
 )
@@ -36,6 +44,7 @@ from kscope.pattern import PointPattern
 from kscope.simulate import (
     PoissonModel,
     SeedSpec,
+    ThomasModel,
     k_function,
     k_function_from_table,
     simulate,
@@ -44,6 +53,8 @@ from kscope.simulate import (
 L2 = StructuringBody(2, BodyShape.L2_BALL)
 BOX10 = Box([0.0, 0.0], [10.0, 10.0])
 POISSON_K = k_function(PoissonModel(1.0), L2)
+THOMAS = ThomasModel(kappa=0.25, mu=4.0, sigma_c=0.5)
+THOMAS_K = k_function(THOMAS, L2)
 
 Z975 = 1.959963984540054
 
@@ -343,7 +354,11 @@ def _clamped_denominators(p):
 
 
 def test_ks_sup_matches_dense_grid():
-    """Candidate-set sup equals a corner-enriched 1e5 grid evaluation."""
+    """Candidate-set sup equals a corner-enriched 1e5 grid evaluation.
+
+    Each pattern is tested against the power (Poisson) null and the
+    Thomas null, whose curve is not a power of r.
+    """
     rng = np.random.default_rng(72)
     checked = 0
     for trial in range(100):
@@ -356,24 +371,153 @@ def test_ks_sup_matches_dense_grid():
             weight = SupWeight("exp_decay", a=float(rng.uniform(2.0 / R, 4.0 / R)))
         else:
             weight = SupWeight()
-        rep = ks_statistic(p, L2, lam0, POISSON_K, 0.5, R, weight=weight, clamp=True)
+        for null_k in (POISSON_K, THOMAS_K):
+            rep = ks_statistic(p, L2, lam0, null_k, 0.5, R, weight=weight, clamp=True)
 
-        delta = scaled_delta(p, L2, lam0, POISSON_K, 0.5, R)
-        grid = np.linspace(0.0, R, 100_001)
-        grid = np.unique(
-            np.concatenate(
-                [grid, delta.jump_rs, np.nextafter(delta.jump_rs, 0.0), [R]]
+            delta = scaled_delta(p, L2, lam0, null_k, 0.5, R)
+            grid = np.linspace(0.0, R, 100_001)
+            grid = np.unique(
+                np.concatenate(
+                    [grid, delta.jump_rs, np.nextafter(delta.jump_rs, 0.0), [R]]
+                )
             )
+            grid = grid[(grid >= 0.0) & (grid <= R)]
+            sup = float(np.max(np.abs(delta.eval(grid)) * weight.eval(grid)))
+            lam, _, s2 = _clamped_denominators(p)
+            oracle = sup / (lam * math.sqrt(s2)) + math.sqrt(
+                p.window.volume()
+            ) * abs(lam - lam0) / math.sqrt(s2)
+            assert rep.statistic == pytest.approx(oracle, rel=1e-9)
+            checked += 1
+    assert checked == 200
+
+
+def _ks_sup_full_grid(delta, weight):
+    """Reference sup: the 64-point grid on every piece, then the polish.
+
+    Corner candidates first; for a decaying weight the grid runs on all
+    pieces, and the first 64 pieces whose grid maximum reaches
+    ``best (1 - 1e-6)`` are polished by bounded scalar optimization.
+    """
+    t = np.concatenate(
+        ([0.0], delta.jump_rs[delta.jump_rs < delta.R], [delta.R])
+    )
+    steps = np.concatenate(([0.0], delta.step_values[: t.size - 2]))
+    theo = np.asarray(delta.theoretical(t), dtype=float)
+    right_cand = np.abs(steps - theo[:-1])
+    left_cand = np.abs(steps - theo[1:])
+    if weight.kind != "const_one":
+        vw = weight.eval(t)
+        right_cand *= vw[:-1]
+        left_cand *= vw[1:]
+    best = max(float(right_cand.max(initial=0.0)), float(left_cand.max(initial=0.0)))
+    if weight.kind == "const_one":
+        return best
+    lo, hi = t[:-1], t[1:]
+    frac = np.linspace(0.0, 1.0, 66)[1:-1]
+    r = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+    f = np.abs(
+        (steps[:, None] - np.asarray(delta.theoretical(r), dtype=float))
+        * weight.eval(r)
+    )
+    piece_best = f.max(axis=1)
+    best = max(best, float(piece_best.max(initial=0.0)))
+    contenders = np.nonzero(piece_best >= best * (1.0 - 1e-6))[0]
+    for k in contenders[:64]:
+        h = float(steps[k])
+
+        def neg_sq(r):
+            resid = h - float(delta.theoretical(r))
+            return -((resid * float(weight.eval(r))) ** 2)
+
+        res = optimize.minimize_scalar(
+            neg_sq,
+            bounds=(float(lo[k]), float(hi[k])),
+            method="bounded",
+            options={"xatol": 1e-13 * max(1.0, delta.R)},
         )
-        grid = grid[(grid >= 0.0) & (grid <= R)]
-        sup = float(np.max(np.abs(delta.eval(grid)) * weight.eval(grid)))
-        lam, _, s2 = _clamped_denominators(p)
-        oracle = sup / (lam * math.sqrt(s2)) + math.sqrt(
-            p.window.volume()
-        ) * abs(lam - lam0) / math.sqrt(s2)
-        assert rep.statistic == pytest.approx(oracle, rel=1e-9)
-        checked += 1
-    assert checked == 100
+        best = max(best, math.sqrt(max(-res.fun, 0.0)))
+    return best
+
+
+def _polished_pieces(monkeypatch, fn, delta, weight):
+    """Value of fn(delta, weight) and the intervals it polished, in order."""
+    calls = []
+    minimize = optimize.minimize_scalar
+
+    def recording(fun, bounds=None, **kwargs):
+        calls.append(bounds)
+        return minimize(fun, bounds=bounds, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "minimize_scalar", recording)
+        value = fn(delta, weight)
+    return value, calls
+
+
+def _step_delta(jump_rs, step_values, beta, R=1.0):
+    """A scaled difference with the given steps and the curve beta r^2."""
+    return ScaledDelta(
+        alpha=0.5, R=R, null_lambda=1.0, null_k=POISSON_K, body=L2,
+        kind=EstimatorKind.HT, window_volume=1.0, c_alpha=1.0, scale=1.0,
+        jump_rs=np.asarray(jump_rs, dtype=float),
+        step_values=np.asarray(step_values, dtype=float), theory_power_beta=beta,
+    )
+
+
+def test_ks_sup_pruned_matches_full_grid(monkeypatch):
+    """Pruning by the per-piece bound changes neither the sup nor the
+    polished contenders, bit for bit, for power, Thomas and tabulated
+    nulls, on a box and a disk, and for rates from d/R to one where the
+    weight underflows to 0 inside [0, R].  Three small step functions add
+    the corner cases: no jump; one jump whose left limit is the unweighted
+    sup; one jump whose first piece holds an interior maximum above every
+    corner."""
+    R = 1.0
+    table_r = np.linspace(0.0, 6.0, 25)
+    table_k = k_function_from_table(table_r, THOMAS_K(table_r))
+    weights = [SupWeight()] + [
+        SupWeight("exp_decay", a=a) for a in (2.0 / R, 4.0, 40.0, 800.0)
+    ]
+    assert float(weights[-1].eval(R)) == 0.0
+    deltas = [
+        _step_delta([], [], 3.0),
+        _step_delta([0.9], [3.6], 3.0),
+        _step_delta([0.9], [6.0], 3.0),
+    ]
+    for w_i, window in enumerate((Box([0.0, 0.0], [20.0, 20.0]), Disk([0.0, 0.0], 11.0))):
+        for n_i, (model, null_k) in enumerate(
+            ((PoissonModel(1.0), POISSON_K), (THOMAS, THOMAS_K), (THOMAS, table_k))
+        ):
+            p = simulate(model, window, SeedSpec(31, 3 * w_i + n_i))
+            deltas.append(scaled_delta(p, L2, model.intensity, null_k, 0.5, R))
+            assert deltas[-1].jump_rs.size > 500
+    polished = 0
+    for delta in deltas:
+        for weight in weights:
+            got = _polished_pieces(monkeypatch, _ks_sup, delta, weight)
+            want = _polished_pieces(monkeypatch, _ks_sup_full_grid, delta, weight)
+            assert got == want
+            polished += len(want[1])
+    assert polished >= 4
+
+
+def test_ks_sup_pruning_keeps_near_tied_contenders(monkeypatch):
+    """Hundreds of pieces tie with the best corner to rounding: every
+    contender survives pruning, so the first 64 polished are the same.
+
+    The residual h - theta falls across each piece by about 1e-5 of its
+    value, so a bound from the corner at the right end alone would drop
+    them."""
+    a, beta, w = 4.0, 3.0, 1e-7
+    jump_rs = 0.01 + w * np.arange(200)
+    steps = beta * jump_rs**2 + 6e-4 * np.exp(a * jump_rs)
+    delta = _step_delta(jump_rs, steps, beta, R=jump_rs[-1] + w)
+    weight = SupWeight("exp_decay", a=a)
+    got = _polished_pieces(monkeypatch, _ks_sup, delta, weight)
+    want = _polished_pieces(monkeypatch, _ks_sup_full_grid, delta, weight)
+    assert len(want[1]) == 64
+    assert got == want
 
 
 def test_cvm_integral_matches_quadrature():
