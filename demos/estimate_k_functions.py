@@ -7,7 +7,7 @@ compares them with the exact population curves.
 
 import numpy as np
 
-from kscope.estimate import eval_k, k_hat, lambda_hat, restrict_pattern
+from kscope.estimate import k_hat, lambda_hat, restrict_pattern
 from kscope.geometry import BodyShape, Box, StructuringBody
 from kscope.simulate import PoissonModel, SeedSpec, ThomasModel, k_function, simulate
 
@@ -30,13 +30,12 @@ def main():
     print(f"Poisson(2) on [0,20]^2: {len(pattern)} points, "
           f"lambda_hat = {lambda_hat(pattern):.3f}")
 
-    ht = eval_k(k_hat(pattern, L2, 2.0, kind="ht"), radii)
-    border = eval_k(k_hat(pattern, L2, 2.0, kind="border"), radii)
+    ht = k_hat(pattern, L2, 2.0, kind="ht").eval(radii)
+    border = k_hat(pattern, L2, 2.0, kind="border").eval(radii)
 
     # the naive estimator needs the pattern on a window dilated by r_max B
     extended = simulate(model, window.inflate(2.0), SeedSpec(11))
-    naive = eval_k(k_hat(extended, L2, 2.0, kind="naive", window=window),
-                   radii)
+    naive = k_hat(extended, L2, 2.0, kind="naive", window=window).eval(radii)
 
     target = model.intensity**2 * np.array(
         [k_function(model, L2)(r) for r in radii]
@@ -52,7 +51,7 @@ def main():
     # clustering lifts the K-function above the Poisson parabola
     thomas = ThomasModel(kappa=0.25, mu=4.0, sigma_c=0.5)
     tp = simulate(thomas, window, SeedSpec(12))
-    t_hat = eval_k(k_hat(tp, L2, 2.0, kind="ht"), radii)
+    t_hat = k_hat(tp, L2, 2.0, kind="ht").eval(radii)
     t_target = np.array([k_function(thomas, L2)(r) for r in radii])
     table(
         "Thomas(0.25, 4, 0.5): clustered K vs Poisson K",

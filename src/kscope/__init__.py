@@ -16,12 +16,7 @@ from .geometry import (
     body_to_config,
     body_volume,
     circumradius,
-    dilation_volume,
-    erosion_volume,
     gauge_norm,
-    inball_radius,
-    set_covariance,
-    surface_content,
     unit_ball_volume,
     window_from_config,
     window_to_config,
@@ -38,7 +33,6 @@ from .simulate import (
     model_from_config,
     model_to_config,
     simulate,
-    theoretical_k,
     theoretical_sigma2,
     theoretical_tau2,
 )
@@ -47,7 +41,6 @@ from .estimate import (
     KEstimate,
     KernelKind,
     ScaledDelta,
-    eval_k,
     k_hat,
     lambda2_hat,
     lambda_hat,
@@ -74,17 +67,6 @@ from .gof import (
     two_sample_ks,
     two_sample_reports,
 )
-from .mcharness import (
-    StudyConfig,
-    StudyReport,
-    estimator_equivalence_study,
-    limit_law_study,
-    null_level_study,
-    power_study,
-    run_study,
-    sigma2_consistency_study,
-    unbiasedness_study,
-    variance_convergence_study,
-)
+from .mcharness import StudyConfig, StudyReport, run_study
 
 __version__ = "0.1.0"

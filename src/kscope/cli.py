@@ -17,8 +17,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import gof
 from .estimate import k_hat
 from .geometry import (

@@ -20,9 +20,12 @@ tie.  Pairs at equal distances are summed in an order the sort leaves
 unspecified, so a jump value may differ in the last ulp from another
 summation order; on the same input the result is the same on every run.
 
-The module also estimates the intensity, the second factorial intensity,
-the asymptotic variance of the scaled point count, and builds the scaled
-comparison process used by the goodness-of-fit statistics.
+The module also estimates the intensity, the second factorial intensity
+and the asymptotic variance of the scaled point count.  The scaled K
+estimate ``r -> |W|^(1/2 - alpha) khat(c^alpha r)`` on [0, R] is again a
+:class:`KEstimate`, in scaled units; the goodness-of-fit statistics
+compare it with a hypothesized curve (:class:`ScaledDelta`) or with the
+scaled estimate of a second pattern.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "KEstimate",
     "ScaledDelta",
     "k_hat",
-    "eval_k",
     "lambda_hat",
     "lambda2_hat",
     "sigma2_hat",
@@ -73,6 +75,10 @@ class KernelKind(str, Enum):
 @dataclass(frozen=True)
 class KEstimate:
     """Empirical estimate of ``lam^2 K_B`` as a right-continuous step function.
+
+    The goodness-of-fit tests use the same type in scaled units: radii
+    divided by ``c^alpha`` and values multiplied by ``|W|^(1/2 - alpha)``,
+    with ``r_max = R``.
 
     Attributes
     ----------
@@ -105,7 +111,8 @@ class KEstimate:
             raise ValueError(
                 f"evaluation radius outside [0, {self.r_max}]"
             )
-        out = _step_at(self.jump_radii, self.jump_values, np.minimum(rr, self.r_max))
+        count = np.searchsorted(self.jump_radii, np.minimum(rr, self.r_max), side="right")
+        out = _value_after(self.jump_values, count)
         return float(out[0]) if single else out
 
     def to_csv(self, path) -> None:
@@ -121,15 +128,6 @@ class KEstimate:
             if self.jump_radii.size == 0 or self.jump_radii[-1] < self.r_max:
                 last = self.jump_values[-1] if self.jump_values.size else 0.0
                 fh.write("%.17g,%.17g\n" % (self.r_max, last))
-
-
-def _step_at(radii: np.ndarray, values: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Right-continuous step function with the given jumps, 0 before the first.
-
-    ``radii`` is strictly increasing and ``values[k]`` holds on
-    ``[radii[k], radii[k + 1])``.
-    """
-    return _value_after(values, np.searchsorted(radii, r, side="right"))
 
 
 def _value_after(values: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -313,11 +311,6 @@ def k_hat(
     return _step_from_pairs(dists, weights, body, kind, r_max, vol)
 
 
-def eval_k(k: KEstimate, r):
-    """Evaluate a K estimate at one or many radii in [0, r_max]."""
-    return k.eval(r)
-
-
 def lambda_hat(p: PointPattern) -> float:
     """Intensity estimate N(W) / |W|."""
     return len(p) / p.window.volume()
@@ -327,6 +320,24 @@ def lambda2_hat(p: PointPattern) -> float:
     """Unbiased estimate N(N - 1) / |W|^2 of the squared intensity."""
     n = len(p)
     return n * (n - 1) / p.window.volume() ** 2
+
+
+def _kernel_support(window: ObservationWindow, bandwidth: float | None) -> float:
+    """Radius ``b c`` of the sigma2_hat kernel, checked against the inradius.
+
+    c = |W|^(1/d) and the bandwidth b defaults to ``c**-0.75``.
+    """
+    c_n = window.volume() ** (1.0 / window.dimension)
+    b = c_n**-0.75 if bandwidth is None else float(bandwidth)
+    if not (b > 0) or not math.isfinite(b):
+        raise ValueError("bandwidth must be a positive finite float")
+    support = b * c_n
+    if not support < window.inball_radius():
+        raise ValueError(
+            f"kernel support radius {support:.6g} must stay below the window "
+            f"inradius {window.inball_radius():.6g}; decrease the bandwidth"
+        )
+    return support
 
 
 _KERNEL_INTEGRAL = {
@@ -359,17 +370,8 @@ def sigma2_hat(
     kernel = KernelKind(kernel)
     w = p.window
     d = p.dimension
-    c_n = w.volume() ** (1.0 / d)
-    b = c_n**-0.75 if bandwidth is None else float(bandwidth)
-    if not (b > 0) or not math.isfinite(b):
-        raise ValueError("bandwidth must be a positive finite float")
-    support = b * c_n
+    support = _kernel_support(w, bandwidth)
     euclid = StructuringBody(d, BodyShape.L2_BALL, 1.0)
-    if not support < w.inball_radius():
-        raise ValueError(
-            f"kernel support radius {support:.6g} must stay below the window "
-            f"inradius {w.inball_radius():.6g}; decrease the bandwidth"
-        )
     _, _, diffs, dists = close_pairs(p.points, euclid, support)
     if dists.size:
         if kernel is KernelKind.INDICATOR:
@@ -389,11 +391,10 @@ class ScaledDelta:
     """Scaled difference between an empirical and a hypothesized K-function.
 
     Represents ``r -> |W|^(1/2 - alpha) (khat(c^alpha r) - lam0^2
-    K0(c^alpha r))`` on [0, R] with c = |W|^(1/d).  The empirical part is
-    a step function; its jump locations ``jump_rs`` (in scaled units,
-    strictly increasing in (0, R]) and the values ``step_values`` it
-    takes there are exposed for the piecewise-exact integrators in the
-    test module.
+    K0(c^alpha r))`` on [0, R] with c = |W|^(1/d).  ``empirical`` is the
+    scaled K estimate, a :class:`KEstimate` in scaled units whose jumps
+    are strictly increasing in (0, R]; the piecewise-exact integrators in
+    the test module read its jumps directly.
 
     ``theory_power_beta`` is set when the hypothesized curve is exactly
     ``beta * r^d`` in scaled units (Poisson null), enabling closed-form
@@ -404,26 +405,14 @@ class ScaledDelta:
     R: float
     null_lambda: float
     null_k: object
-    body: StructuringBody
-    kind: EstimatorKind
-    window_volume: float
     c_alpha: float
     scale: float
-    jump_rs: np.ndarray = field(repr=False)
-    step_values: np.ndarray = field(repr=False)
+    empirical: KEstimate
     theory_power_beta: float | None = None
 
     @property
     def dimension(self) -> int:
-        return self.body.dimension
-
-    def empirical(self, r):
-        """Scaled empirical step function at scaled radii r."""
-        r = np.asarray(r, dtype=float)
-        single = r.ndim == 0
-        rr = np.atleast_1d(r)
-        out = _step_at(self.jump_rs, self.step_values, rr)
-        return float(out[0]) if single else out
+        return self.empirical.body.dimension
 
     def theoretical(self, r):
         """Scaled hypothesized curve at scaled radii r."""
@@ -441,10 +430,49 @@ class ScaledDelta:
         r = np.asarray(r, dtype=float)
         single = r.ndim == 0
         rr = np.atleast_1d(r)
-        if rr.size and (rr.min() < 0 or rr.max() > self.R * (1 + 1e-12)):
-            raise ValueError(f"evaluation radius outside [0, {self.R}]")
-        out = self.empirical(rr) - np.atleast_1d(self.theoretical(rr))
+        out = self.empirical.eval(rr) - np.atleast_1d(self.theoretical(rr))
         return float(out[0]) if single else out
+
+
+def _scaled_k(
+    p: PointPattern,
+    body: StructuringBody,
+    alpha: float,
+    R: float,
+    kind: EstimatorKind | str,
+    window: ObservationWindow | None,
+) -> KEstimate:
+    """Scaled K estimate ``r -> |W|^(1/2 - alpha) khat(c^alpha r)`` on [0, R].
+
+    Checks the scaled-domain guard, estimates at ``c^alpha R`` and returns
+    the result in scaled units (``r_max = R``).
+    """
+    if not (0.0 < alpha <= 0.5):
+        raise ValueError("alpha must lie in (0, 1/2]")
+    if not (R > 0) or not math.isfinite(R):
+        raise ValueError("R must be a positive finite float")
+    kind = EstimatorKind(kind)
+    eval_window = window if kind is EstimatorKind.NAIVE else p.window
+    if eval_window is None:
+        raise ValueError("the naive estimator requires an evaluation window")
+    vol = eval_window.volume()
+    c_alpha = _require_scaled_domain(eval_window, body, alpha, R)
+    khat = k_hat(p, body, c_alpha * R, kind=kind, window=window)
+    # dividing by c^alpha (or clipping at R) can merge adjacent radii; the
+    # last of each run carries the value through all of them
+    radii = np.minimum(khat.jump_radii / c_alpha, R)
+    values = vol ** (0.5 - alpha) * khat.jump_values
+    last = _run_ends(radii)
+    if not last.all():
+        radii, values = radii[last], values[last]
+    return KEstimate(
+        body=body,
+        kind=kind,
+        r_max=float(R),
+        window_volume=vol,
+        jump_radii=radii,
+        jump_values=values,
+    )
 
 
 def scaled_delta(
@@ -484,27 +512,12 @@ def scaled_delta(
     largest query stays well inside the window; this is the regime where
     the edge-correction inequalities keep all remainder terms small.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError("alpha must lie in (0, 1/2]")
-    if not (R > 0) or not math.isfinite(R):
-        raise ValueError("R must be a positive finite float")
     if not (null_lambda > 0) or not math.isfinite(null_lambda):
         raise ValueError("null_lambda must be a positive finite float")
-    eval_window = window if EstimatorKind(kind) is EstimatorKind.NAIVE else p.window
-    if eval_window is None:
-        raise ValueError("the naive estimator requires an evaluation window")
-    vol = eval_window.volume()
-    c_alpha = _require_scaled_domain(eval_window, body, alpha, R)
-    u_max = c_alpha * R
-    khat = k_hat(p, body, u_max, kind=kind, window=window)
+    empirical = _scaled_k(p, body, alpha, R, kind, window)
+    vol = empirical.window_volume
+    c_alpha = (vol ** (1.0 / body.dimension)) ** alpha
     scale = vol ** (0.5 - alpha)
-    # dividing by c^alpha (or clipping at R) can merge adjacent radii; the
-    # last of each run carries the value through all of them
-    jump_rs = np.minimum(khat.jump_radii / c_alpha, R)
-    step_values = scale * khat.jump_values
-    last = _run_ends(jump_rs)
-    if not last.all():
-        jump_rs, step_values = jump_rs[last], step_values[last]
     beta = None
     pc = getattr(null_k, "power_coeff", None)
     if pc is not None:
@@ -514,12 +527,8 @@ def scaled_delta(
         R=float(R),
         null_lambda=float(null_lambda),
         null_k=null_k,
-        body=body,
-        kind=EstimatorKind(kind),
-        window_volume=vol,
         c_alpha=c_alpha,
         scale=scale,
-        jump_rs=jump_rs,
-        step_values=step_values,
+        empirical=empirical,
         theory_power_beta=beta,
     )

@@ -32,11 +32,6 @@ __all__ = [
     "body_volume",
     "circumradius",
     "unit_ball_volume",
-    "set_covariance",
-    "inball_radius",
-    "erosion_volume",
-    "dilation_volume",
-    "surface_content",
     "window_from_config",
     "window_to_config",
     "body_from_config",
@@ -420,33 +415,6 @@ def _elementary_symmetric(values: np.ndarray) -> list[float]:
             above = prev[i] if i < len(prev) else 0.0
             e.append(above + float(v) * prev[i - 1])
     return e
-
-
-# functional aliases mirroring the window methods
-
-def set_covariance(w: ObservationWindow, y):
-    """Set covariance ``|W intersect (W - y)|``; see the window classes."""
-    return w.set_covariance(y)
-
-
-def inball_radius(w: ObservationWindow) -> float:
-    """Inradius rho(W) of the window."""
-    return w.inball_radius()
-
-
-def erosion_volume(w: ObservationWindow, r: float) -> float:
-    """Volume of W eroded by the Euclidean ball of radius r."""
-    return w.erosion_volume(r)
-
-
-def dilation_volume(w: ObservationWindow, r: float) -> float:
-    """Volume of W dilated by the Euclidean ball of radius r."""
-    return w.dilation_volume(r)
-
-
-def surface_content(w: ObservationWindow) -> float:
-    """Boundary surface content of the window."""
-    return w.surface_content()
 
 
 def window_to_config(w: ObservationWindow) -> dict:

@@ -10,6 +10,12 @@ mixing, to a known multiple of either a single squared standard normal
 only on the structuring body, the radius interval and the chosen weight
 function, so thresholds and p-values have closed forms.
 
+Both kinds work on scaled K estimates, step functions of the
+:class:`~kscope.estimate.KEstimate` type in scaled units.  A one-sample
+statistic compares the estimate with the scaled hypothesized curve
+(a :class:`~kscope.estimate.ScaledDelta`); a two-sample statistic merges
+the jumps of the two estimates and needs no curve.
+
 The integral (Cramer-von Mises type) statistics are computed piecewise
 exactly: the empirical part is a step function, so on each piece the
 integrand is a smooth function that is integrated in closed form when
@@ -35,9 +41,11 @@ from scipy import integrate, optimize, special
 
 from .estimate import (
     EstimatorKind,
+    KEstimate,
     KernelKind,
     ScaledDelta,
     _run_ends,
+    _scaled_k,
     _value_after,
     lambda_hat,
     lambda2_hat,
@@ -360,9 +368,10 @@ def _piece_boundaries(delta: ScaledDelta) -> tuple[np.ndarray, np.ndarray]:
     The jumps are strictly increasing in (0, R], so a piece starts at 0
     (where the step is 0) and at every jump below R.
     """
-    m = int(np.searchsorted(delta.jump_rs, delta.R))
-    t = np.concatenate(([0.0], delta.jump_rs[:m], [delta.R]))
-    steps = np.concatenate(([0.0], delta.step_values[:m]))
+    k = delta.empirical
+    m = int(np.searchsorted(k.jump_radii, delta.R))
+    t = np.concatenate(([0.0], k.jump_radii[:m], [delta.R]))
+    steps = np.concatenate(([0.0], k.jump_values[:m]))
     return t, steps
 
 
@@ -435,9 +444,9 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
     """
     if weight.kind == "const_one":
         # corners read off views of the jumps, so the peak stays at scaled_delta's
-        m = int(np.searchsorted(delta.jump_rs, delta.R))
-        jumps = delta.jump_rs[:m]
-        steps = delta.step_values[:m]
+        m = int(np.searchsorted(delta.empirical.jump_radii, delta.R))
+        jumps = delta.empirical.jump_radii[:m]
+        steps = delta.empirical.jump_values[:m]
         theo = np.asarray(delta.theoretical(jumps), dtype=float)
         theo_0, theo_r = np.asarray(
             delta.theoretical(np.array([0.0, delta.R])), dtype=float
@@ -591,6 +600,18 @@ def _base_config(
     return cfg
 
 
+def _chi2_radii(radii, R: float) -> np.ndarray:
+    """Test radii of the chi2 statistic; the default is i R / 5, i = 1..5."""
+    rr = np.asarray(
+        radii if radii is not None else R * np.arange(1, 6) / 5.0, dtype=float
+    )
+    if rr.ndim != 1 or rr.size < 1:
+        raise ValueError("chi2 radii must be a nonempty 1-d sequence")
+    if rr[0] <= 0 or np.any(np.diff(rr) <= 0) or rr[-1] > R * (1 + 1e-12):
+        raise ValueError("chi2 radii must be strictly increasing in (0, R]")
+    return rr
+
+
 def one_sample_reports(
     p: PointPattern,
     body: StructuringBody,
@@ -642,14 +663,7 @@ def one_sample_reports(
             "k0": getattr(null_k, "description", "custom"),
         }
         if t is TestKind.CHI2:
-            rr = np.asarray(
-                radii if radii is not None else R * np.arange(1, 6) / 5.0,
-                dtype=float,
-            )
-            if rr.ndim != 1 or rr.size < 1:
-                raise ValueError("chi2 radii must be a nonempty 1-d sequence")
-            if rr[0] <= 0 or np.any(np.diff(rr) <= 0) or rr[-1] > R * (1 + 1e-12):
-                raise ValueError("chi2 radii must be strictly increasing in (0, R]")
+            rr = _chi2_radii(radii, R)
             cfg["radii"] = rr.tolist()
             dvals = delta.eval(rr)
             prev = np.concatenate(([0.0], dvals[:-1]))
@@ -803,25 +817,25 @@ def _two_sample_inputs(
     return sides, den_curve, den_count, warnings
 
 
-def _merged_steps(da: ScaledDelta, db: ScaledDelta):
+def _merged_steps(ka: KEstimate, kb: KEstimate):
     """Breakpoints of both step functions and their difference per piece.
 
     Both jump sets are sorted, so a stable argsort of their concatenation
-    is one merge.  Counting the jumps of ``da`` along it gives, at each
+    is one merge.  Counting the jumps of ``ka`` along it gives, at each
     merged jump, how many jumps of either side lie at or below it; the
     last of each run of equal radii has passed every jump of that tie.
     """
-    ra = da.jump_rs
-    merged = np.concatenate((ra, db.jump_rs))
+    ra = ka.jump_radii
+    merged = np.concatenate((ra, kb.jump_radii))
     order = np.argsort(merged, kind="stable")
     r = merged[order]
-    starts = np.flatnonzero(_run_ends(r) & (r < da.R))
+    starts = np.flatnonzero(_run_ends(r) & (r < ka.r_max))
     n_a = np.cumsum(order < ra.size)[starts]
     n_b = starts + 1 - n_a
-    t = np.concatenate(([0.0], r[starts], [da.R]))
+    t = np.concatenate(([0.0], r[starts], [ka.r_max]))
     diff = np.concatenate((
         [0.0],
-        _value_after(da.step_values, n_a) - _value_after(db.step_values, n_b),
+        _value_after(ka.jump_values, n_a) - _value_after(kb.jump_values, n_b),
     ))
     return t, diff
 
@@ -859,12 +873,9 @@ def two_sample_reports(
         pa, pb, alpha, kernel, bandwidth, clamp
     )
     (lam_a, _, _), (lam_b, _, _) = sides
-    # a unit-intensity power null makes the scaled-delta machinery reusable;
-    # the theoretical parts cancel in the difference below
-    trivial_k = _TrivialK(body)
-    da = scaled_delta(pa, body, 1.0, trivial_k, alpha, R, kind=estimator)
-    db = scaled_delta(pb, body, 1.0, trivial_k, alpha, R, kind=estimator)
-    t, diff = _merged_steps(da, db)
+    ka = _scaled_k(pa, body, alpha, R, estimator, None)
+    kb = _scaled_k(pb, body, alpha, R, estimator, None)
+    t, diff = _merged_steps(ka, kb)
     # symmetric in (a, b) even when the two volumes differ in the last bit
     vol = 0.5 * (pa.window.volume() + pb.window.volume())
     count_sq = vol * (lam_a - lam_b) ** 2 / den_count
@@ -899,19 +910,6 @@ def two_sample_reports(
             c = limit_constant(kind, body, R=R, weight=weight)
         reports[kind.value] = _finish(kind, stat, c, gamma, cfg, list(warnings))
     return reports
-
-
-class _TrivialK:
-    """Zero curve placeholder: lets the two-sample path reuse ScaledDelta."""
-
-    power_coeff = 0.0
-    description = "zero"
-
-    def __init__(self, body: StructuringBody):
-        self.dimension = body.dimension
-
-    def __call__(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
 
 
 def two_sample_cvm(

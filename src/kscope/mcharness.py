@@ -30,20 +30,15 @@ import numpy as np
 from . import gof
 from .estimate import (
     EstimatorKind,
+    KernelKind,
+    _kernel_support,
     _require_scaled_domain,
-    eval_k,
     k_hat,
     lambda2_hat,
     restrict_pattern,
     sigma2_hat,
 )
-from .geometry import (
-    ObservationWindow,
-    body_from_config,
-    circumradius,
-    window_from_config,
-)
-from .pattern import PointPattern
+from .geometry import body_from_config, circumradius, window_from_config
 from .simulate import (
     SeedSpec,
     k_function,
@@ -58,13 +53,6 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "run_study",
-    "unbiasedness_study",
-    "variance_convergence_study",
-    "sigma2_consistency_study",
-    "null_level_study",
-    "power_study",
-    "limit_law_study",
-    "estimator_equivalence_study",
 ]
 
 SCHEMA_VERSION = 1
@@ -141,28 +129,9 @@ class StudyConfig:
             raise ValueError("workers must be >= 1")
         if not (self.limit_constant_scale > 0):
             raise ValueError("limit_constant_scale must be positive")
-        windows = [window_from_config(w) for w in self.windows]
-        vols = [w.volume() for w in windows]
-        if any(b <= a * (1 + 1e-12) for a, b in zip(vols, vols[1:])):
-            raise ValueError("window ladder volumes must be strictly increasing")
-        model_from_config(self.model)  # validates parameters
-        if self.null_model is not None:
-            model_from_config(self.null_model)
-        body = body_from_config(self.body)
-        two = [gof.TestKind(s) in _TWO_SAMPLE for s in self.statistics]
-        for e in self.estimators:
-            EstimatorKind(e)
-        EstimatorKind(self.estimator)
-        if self.study in _TEST_STUDIES:
-            if not two:
-                raise ValueError("at least one statistic is required")
-            if any(two) and not all(two):
-                raise ValueError(
-                    "statistics must be all one-sample or all two-sample"
-                )
-            # fail before any replicate runs, not in the first scaled_delta
-            for w in windows:
-                _require_scaled_domain(w, body, self.alpha, self.R)
+        # the resolution every run starts from, so a bad config fails here
+        # and not in the first replicate (inside a worker at workers >= 2)
+        _StudyContext(self)
 
     def to_config(self) -> dict:
         return {
@@ -278,36 +247,56 @@ def _check(name: str, value: float, bound: float, comparison: str) -> dict:
 
 
 class _StudyContext:
-    """Resolved objects shared by all replicates of a study run."""
+    """Resolved objects shared by all replicates of a study run.
+
+    Building one parses and checks every part of the config, so
+    ``StudyConfig`` builds one to validate itself.
+    """
 
     def __init__(self, cfg: StudyConfig):
         self.cfg = cfg
+        self.windows = [window_from_config(w) for w in cfg.windows]
+        vols = [w.volume() for w in self.windows]
+        if any(b <= a * (1 + 1e-12) for a, b in zip(vols, vols[1:])):
+            raise ValueError("window ladder volumes must be strictly increasing")
         self.model = model_from_config(cfg.model)
         self.null_model = (
             model_from_config(cfg.null_model) if cfg.null_model is not None else self.model
         )
         self.body = body_from_config(cfg.body)
-        self.windows = [window_from_config(w) for w in cfg.windows]
         self.d = self.body.dimension
-        self.weight_V = (
-            gof.IntegralWeight.from_config(cfg.weight_V)
-            if cfg.weight_V is not None
-            else gof.IntegralWeight()
-        )
-        self.weight_v = (
-            gof.SupWeight.from_config(cfg.weight_v)
-            if cfg.weight_v is not None
-            else gof.SupWeight()
-        )
+        self.weight_V = gof.IntegralWeight.from_config(cfg.weight_V or {})
+        self.weight_v = gof.SupWeight.from_config(cfg.weight_v or {})
         self.statistics = tuple(gof.TestKind(s) for s in cfg.statistics)
         self.estimators = tuple(EstimatorKind(e) for e in cfg.estimators)
+        estimator = EstimatorKind(cfg.estimator)
+        KernelKind(cfg.kernel)
         self.radii = None if cfg.radii is None else np.asarray(cfg.radii, dtype=float)
         kind = cfg.study
         if kind in _TEST_STUDIES:
-            self.two_sample = self.statistics[0] in _TWO_SAMPLE
+            two = [s in _TWO_SAMPLE for s in self.statistics]
+            if not two:
+                raise ValueError("at least one statistic is required")
+            if any(two) and not all(two):
+                raise ValueError(
+                    "statistics must be all one-sample or all two-sample"
+                )
+            self.two_sample = two[0]
+            if self.two_sample and estimator is EstimatorKind.NAIVE:
+                raise ValueError("two-sample tests support the ht and border estimators")
+            if gof.TestKind.CHI2 in self.statistics:
+                gof._chi2_radii(self.radii, cfg.R)
+            if gof.TestKind.KS in self.statistics or gof.TestKind.TWO_KS in self.statistics:
+                self.weight_v.validate_domain(cfg.R, self.d)
+            for w in self.windows:
+                _require_scaled_domain(w, self.body, cfg.alpha, cfg.R)
+                _kernel_support(w, cfg.bandwidth)
             if not self.two_sample:
                 self.null_lambda = self.null_model.intensity
                 self.null_kfun = k_function(self.null_model, self.body)
+        elif kind == "sigma2_consistency":
+            for w in self.windows:
+                _kernel_support(w, cfg.bandwidth)
         elif kind == "unbiasedness":
             if self.radii is None or self.radii.size == 0:
                 raise ValueError("unbiasedness requires evaluation radii")
@@ -345,19 +334,12 @@ class _StudyContext:
         rep, _ = _KERNELS[self.cfg.study]
         return rep(self, self.windows[win_idx], seed_a, seed_b)
 
-    def _simulate_extended(self, window: ObservationWindow, seed: SeedSpec,
-                           margin: float, need_extension: bool):
-        """Pattern for estimation: extended iff plus-sampling is needed."""
-        if need_extension:
-            return simulate(self.model, window.inflate(margin), seed)
-        return simulate(self.model, window, seed)
-
     def _rep_unbiasedness(self, window, seed, _seed_b) -> np.ndarray:
         r_max = float(self.radii[-1])
         # the circumradius margin covers plus-sampling for every window shape
         margin = r_max * circumradius(self.body)
         need_ext = EstimatorKind.NAIVE in self.estimators
-        pat = self._simulate_extended(window, seed, margin, need_ext)
+        pat = simulate(self.model, window.inflate(margin) if need_ext else window, seed)
         inner = restrict_pattern(pat, window) if need_ext else pat
         out = []
         for est in self.estimators:
@@ -365,7 +347,7 @@ class _StudyContext:
                 k = k_hat(pat, self.body, r_max, kind=est, window=window)
             else:
                 k = k_hat(inner, self.body, r_max, kind=est)
-            out.append(eval_k(k, self.radii))
+            out.append(k.eval(self.radii))
         return np.concatenate(out)
 
     def _rep_variance(self, window, seed, _seed_b) -> np.ndarray:
@@ -374,7 +356,7 @@ class _StudyContext:
         if r_max == 0.0:
             return np.zeros(self.radii.size)
         k = k_hat(pat, self.body, r_max, kind=self.cfg.estimator)
-        return np.asarray(eval_k(k, self.radii), dtype=float).reshape(-1)
+        return np.asarray(k.eval(self.radii), dtype=float).reshape(-1)
 
     def _rep_sigma2(self, window, seed, _seed_b) -> np.ndarray:
         pat = simulate(self.model, window, seed)
@@ -389,8 +371,8 @@ class _StudyContext:
         margin = u0 * circumradius(self.body)
         pat = simulate(self.model, window.inflate(margin), seed)
         inner = restrict_pattern(pat, window)
-        ht = eval_k(k_hat(inner, self.body, u0, kind="ht"), u0)
-        naive = eval_k(k_hat(pat, self.body, u0, kind="naive", window=window), u0)
+        ht = k_hat(inner, self.body, u0, kind="ht").eval(u0)
+        naive = k_hat(pat, self.body, u0, kind="naive", window=window).eval(u0)
         plug = lambda2_hat(inner) * float(self.kfun(u0))
         return np.array([ht, naive, plug])
 
@@ -573,9 +555,7 @@ class _StudyContext:
             for s_idx, stat in enumerate(self.statistics):
                 col = vals[:, s_idx]
                 c = self._limit_const(stat) * cfg.limit_constant_scale
-                chi2 = stat in (
-                    gof.TestKind.CHI2, gof.TestKind.CVM, gof.TestKind.TWO_CVM,
-                )
+                chi2 = stat in gof._CHI2_FAMILY
                 threshold = c * z * z if chi2 else c * z
                 rate = _fsum_mean([1.0 if v > threshold else 0.0 for v in col.tolist()])
                 dist = _ks_distance(col / c, chi2)
@@ -716,24 +696,3 @@ def run_study(config: StudyConfig | dict) -> StudyReport:
         timing={"total_seconds": round(elapsed, 3)},
     )
 
-
-def _named_study(kind: str):
-    def runner(config: StudyConfig | dict) -> StudyReport:
-        if isinstance(config, dict):
-            config = dict(config, study=kind)
-        elif config.study != kind:
-            raise ValueError(f"config declares study {config.study!r}, not {kind!r}")
-        return run_study(config)
-
-    runner.__name__ = f"{kind}_study"
-    runner.__doc__ = f"Run a {kind!r} study; see run_study."
-    return runner
-
-
-unbiasedness_study = _named_study("unbiasedness")
-variance_convergence_study = _named_study("variance_convergence")
-sigma2_consistency_study = _named_study("sigma2_consistency")
-null_level_study = _named_study("null_level")
-power_study = _named_study("power")
-limit_law_study = _named_study("limit_law")
-estimator_equivalence_study = _named_study("estimator_equivalence")

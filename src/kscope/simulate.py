@@ -38,7 +38,6 @@ __all__ = [
     "KFunction",
     "k_function",
     "k_function_from_table",
-    "theoretical_k",
     "theoretical_sigma2",
     "theoretical_tau2",
     "model_to_config",
@@ -300,11 +299,6 @@ def k_function_from_table(radii, values, dimension: int = 2) -> KFunction:
         return np.interp(np.minimum(r, r_hi), rs, ks)
 
     return KFunction(interp, dimension, description="table")
-
-
-def theoretical_k(model: ModelSpec, body: StructuringBody, r):
-    """Theoretical K at radius r (scalar or array); see k_function."""
-    return k_function(model, body)(r)
 
 
 def theoretical_sigma2(model: ModelSpec) -> float:

@@ -19,18 +19,8 @@ import pytest
 from numpy.random import default_rng
 
 from kscope.cli import main
-from kscope.estimate import eval_k, k_hat
-from kscope.geometry import (
-    BodyShape,
-    Box,
-    Disk,
-    StructuringBody,
-    dilation_volume,
-    erosion_volume,
-    inball_radius,
-    set_covariance,
-    surface_content,
-)
+from kscope.estimate import k_hat
+from kscope.geometry import BodyShape, Box, Disk, StructuringBody
 from kscope.gof import (
     TestKind as Kind,
     normal_cdf,
@@ -79,7 +69,7 @@ def test_criterion_01_set_covariance_exactness():
         L = w.upper - w.lower
         lags = rng.uniform(-1.2, 1.2, size=(1000, w.dimension)) * L
         want = np.prod(np.maximum(L - np.abs(lags), 0.0), axis=1)
-        got = set_covariance(w, lags)
+        got = w.set_covariance(lags)
         assert np.max(np.abs(got - want)) <= 1e-12 * w.volume()
     for w in _random_disks(rng, 5):
         R = w.radius
@@ -91,7 +81,7 @@ def test_criterion_01_set_covariance_exactness():
         want[m] = 2.0 * R * R * np.arccos(u[m] / (2.0 * R)) - (
             u[m] / 2.0
         ) * np.sqrt(4.0 * R * R - u[m] ** 2)
-        got = set_covariance(w, lags)
+        got = w.set_covariance(lags)
         assert np.max(np.abs(got - want)) <= 1e-12 * w.volume()
     elapsed = time.perf_counter() - started
     print(f"criterion 1: 10 windows x 1000 lags exact in {elapsed:.3f}s")
@@ -107,13 +97,13 @@ def test_criterion_02_erosion_dilation_inequalities():
     slack = 1e-9
     started = time.perf_counter()
     for w in windows:
-        rho = inball_radius(w)
+        rho = w.inball_radius()
         d = w.dimension
         vol = w.volume()
-        surf = surface_content(w)
+        surf = w.surface_content()
         radii = np.linspace(0.0, rho, 50)
-        ero = np.array([erosion_volume(w, r) for r in radii])
-        dil = np.array([dilation_volume(w, r) for r in radii])
+        ero = np.array([w.erosion_volume(r) for r in radii])
+        dil = np.array([w.dilation_volume(r) for r in radii])
         shrink = 1.0 - ero / vol
         assert np.all(shrink >= -slack)
         assert np.all(shrink <= d * radii / rho + slack)
@@ -374,8 +364,8 @@ def test_criterion_12_exact_identities_and_coherence():
         pattern.points + shift,
         Box(window.lower + shift, window.upper + shift),
     )
-    base = eval_k(k_hat(pattern, L2, 2.0, kind="ht"), radii)
-    moved_vals = eval_k(k_hat(moved, L2, 2.0, kind="ht"), radii)
+    base = k_hat(pattern, L2, 2.0, kind="ht").eval(radii)
+    moved_vals = k_hat(moved, L2, 2.0, kind="ht").eval(radii)
     assert np.max(np.abs(moved_vals - base)) <= 1e-12 * np.max(base)
 
     # a^{-d} scaling identity
@@ -383,9 +373,8 @@ def test_criterion_12_exact_identities_and_coherence():
     scaled = PointPattern(
         pattern.points * a, Box(window.lower * a, window.upper * a)
     )
-    k_scaled = eval_k(
-        k_hat(scaled, L2, 2.0 * a + 0.01, kind="ht"),
-        np.nextafter(a * radii, np.inf),
+    k_scaled = k_hat(scaled, L2, 2.0 * a + 0.01, kind="ht").eval(
+        np.nextafter(a * radii, np.inf)
     )
     assert np.allclose(k_scaled, base / a**2, rtol=1e-12, atol=0.0)
 

@@ -10,7 +10,6 @@ from kscope.estimate import (
     KEstimate,
     KernelKind,
     _require_scaled_domain,
-    eval_k,
     k_hat,
     lambda2_hat,
     lambda_hat,
@@ -38,35 +37,35 @@ def two_point_pattern():
 
 def test_ht_two_point_value():
     k = k_hat(two_point_pattern(), L2, 2.0)
-    assert eval_k(k, 1.0) == pytest.approx(2.0 / 90.0, rel=1e-15)
-    assert eval_k(k, 2.0) == pytest.approx(2.0 / 90.0, rel=1e-15)
+    assert k.eval(1.0) == pytest.approx(2.0 / 90.0, rel=1e-15)
+    assert k.eval(2.0) == pytest.approx(2.0 / 90.0, rel=1e-15)
 
 
 def test_ht_two_point_below_distance():
     k = k_hat(two_point_pattern(), L2, 2.0)
-    assert eval_k(k, 0.5) == 0.0
+    assert k.eval(0.5) == 0.0
 
 
 def test_eval_k_right_continuity():
     k = k_hat(two_point_pattern(), L2, 2.0)
-    assert eval_k(k, 1.0 - 1e-6) == 0.0
-    assert eval_k(k, 1.0) == pytest.approx(2.0 / 90.0)
-    assert eval_k(k, np.nextafter(1.0, 0.0)) == 0.0
+    assert k.eval(1.0 - 1e-6) == 0.0
+    assert k.eval(1.0) == pytest.approx(2.0 / 90.0)
+    assert k.eval(np.nextafter(1.0, 0.0)) == 0.0
 
 
 def test_eval_k_empty_pattern():
     p = PointPattern([], BOX10)
     k = k_hat(p, L2, 2.0)
-    assert eval_k(k, 1.5) == 0.0
+    assert k.eval(1.5) == 0.0
     assert k.jump_radii.size == 0
 
 
 def test_eval_k_domain_errors():
     k = k_hat(two_point_pattern(), L2, 2.0)
     with pytest.raises(ValueError):
-        eval_k(k, -0.1)
+        k.eval(-0.1)
     with pytest.raises(ValueError):
-        eval_k(k, 2.0000001)
+        k.eval(2.0000001)
 
 
 def test_eval_k_vectorized_monotone():
@@ -74,7 +73,7 @@ def test_eval_k_vectorized_monotone():
     p = PointPattern(rng.uniform(0.0, 10.0, size=(120, 2)), BOX10)
     k = k_hat(p, L2, 2.0)
     rs = np.linspace(0.0, 2.0, 400)
-    vals = eval_k(k, rs)
+    vals = k.eval(rs)
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] == 0.0
     assert np.all(np.diff(k.jump_values) >= 0.0)
@@ -85,9 +84,9 @@ def test_k_hat_gauge_body_choice_matters():
     l1 = StructuringBody(2, BodyShape.L1_BALL)
     linf = StructuringBody(2, BodyShape.LINF_BALL)
     # difference (1,1): l1 distance 2, linf distance 1
-    assert eval_k(k_hat(p, l1, 2.5), 1.5) == 0.0
-    assert eval_k(k_hat(p, l1, 2.5), 2.0) > 0.0
-    assert eval_k(k_hat(p, linf, 2.5), 1.0) > 0.0
+    assert k_hat(p, l1, 2.5).eval(1.5) == 0.0
+    assert k_hat(p, l1, 2.5).eval(2.0) > 0.0
+    assert k_hat(p, linf, 2.5).eval(1.0) > 0.0
 
 
 def test_k_hat_csv_export(tmp_path):
@@ -108,7 +107,7 @@ def test_k_hat_guard_vs_window():
     p = two_point_pattern()
     with pytest.raises(ValueError, match="inradius"):
         k_hat(p, L2, 5.0)
-    assert eval_k(k_hat(p, L2, 4.999), 1.0) > 0.0
+    assert k_hat(p, L2, 4.999).eval(1.0) > 0.0
     # linf circumradius sqrt(2) shrinks the admissible radius
     linf = StructuringBody(2, BodyShape.LINF_BALL)
     with pytest.raises(ValueError, match="inradius"):
@@ -142,7 +141,7 @@ def test_naive_counts_anchored_pairs():
     inner = BOX10
     p = PointPattern([[9.8, 5.0], [10.5, 5.0]], ext)
     k = k_hat(p, L2, 1.0, kind="naive", window=inner)
-    assert eval_k(k, 1.0) == pytest.approx(1.0 / 100.0, rel=1e-15)
+    assert k.eval(1.0) == pytest.approx(1.0 / 100.0, rel=1e-15)
     assert k.window_volume == 100.0
 
 
@@ -157,7 +156,7 @@ def test_border_counts_interior_pairs_only():
     ext = Box([-1.0, -1.0], [11.0, 11.0])
     p = PointPattern([[9.8, 5.0], [10.5, 5.0]], ext)
     k = k_hat(restrict_pattern(p, BOX10), L2, 1.0, kind="border")
-    assert eval_k(k, 1.0) == 0.0
+    assert k.eval(1.0) == 0.0
 
 
 def test_border_below_ht_pointwise():
@@ -168,7 +167,7 @@ def test_border_below_ht_pointwise():
         ht = k_hat(p, L2, 2.0)
         border = k_hat(p, L2, 2.0, kind=EstimatorKind.BORDER)
         rs = np.linspace(0.0, 2.0, 50)
-        assert np.all(eval_k(border, rs) <= eval_k(ht, rs) + 1e-15)
+        assert np.all(border.eval(rs) <= ht.eval(rs) + 1e-15)
 
 
 def test_estimators_agree_without_edge_effects():
@@ -207,7 +206,7 @@ def test_scaling_identity_power_of_two():
     w1 = Box(BOX10.lower * a, BOX10.upper * a)
     k1 = k_hat(PointPattern(pts * a, w1), L2, 2.0 * a)
     rs = np.linspace(0.0, 2.0, 64)
-    assert np.array_equal(eval_k(k1, a * rs), eval_k(k0, rs) / a**2)
+    assert np.array_equal(k1.eval(a * rs), k0.eval(rs) / a**2)
 
 
 def test_scaling_identity_general_factor():
@@ -218,8 +217,8 @@ def test_scaling_identity_general_factor():
     w1 = Box(BOX10.lower * a, BOX10.upper * a)
     k1 = k_hat(PointPattern(pts * a, w1), L2, 2.0 * a)
     rs = np.linspace(0.0, 2.0, 64)
-    got = eval_k(k1, np.nextafter(a * rs, np.inf))
-    assert np.allclose(got, eval_k(k0, rs) / a**2, rtol=1e-12, atol=1e-15)
+    got = k1.eval(np.nextafter(a * rs, np.inf))
+    assert np.allclose(got, k0.eval(rs) / a**2, rtol=1e-12, atol=1e-15)
 
 
 def test_jump_multiplicity_even():
@@ -290,13 +289,14 @@ def test_step_function_on_tied_lattice(shape, kind):
     R = 0.6
     kf = k_function(PoissonModel(1.0), body)
     delta = scaled_delta(p, body, 1.0, kf, 0.5, R, kind=kind)
-    assert np.all(np.diff(delta.jump_rs) > 0)
-    assert 0.0 < delta.jump_rs[0] and delta.jump_rs[-1] <= R
+    jumps = delta.empirical.jump_radii
+    assert np.all(np.diff(jumps) > 0)
+    assert 0.0 < jumps[0] and jumps[-1] <= R
     # the breakpoints read off the jumps equal a fresh sort and lookup
     t, steps = _piece_boundaries(delta)
-    t_ref = np.unique(np.concatenate(([0.0], delta.jump_rs, [R])))
+    t_ref = np.unique(np.concatenate(([0.0], jumps, [R])))
     assert np.array_equal(t, t_ref)
-    assert np.array_equal(steps, delta.empirical(t_ref[:-1]))
+    assert np.array_equal(steps, delta.empirical.eval(t_ref[:-1]))
 
 
 def test_scaled_delta_merges_coinciding_radii(monkeypatch):
@@ -317,8 +317,10 @@ def test_scaled_delta_merges_coinciding_radii(monkeypatch):
     fake = KEstimate(L2, EstimatorKind.HT, u, 100.0, radii, np.array([1.0, 2.0, 3.0, 4.0]))
     monkeypatch.setattr("kscope.estimate.k_hat", lambda *args, **kwargs: fake)
     delta = scaled_delta(two_point_pattern(), L2, 1.0, k_function(PoissonModel(1.0), L2), alpha, R)
-    assert np.array_equal(delta.jump_rs, [0.1 / c_alpha, r / c_alpha, R])
-    assert np.array_equal(delta.step_values, delta.scale * np.array([1.0, 3.0, 4.0]))
+    assert np.array_equal(delta.empirical.jump_radii, [0.1 / c_alpha, r / c_alpha, R])
+    assert np.array_equal(
+        delta.empirical.jump_values, delta.scale * np.array([1.0, 3.0, 4.0])
+    )
     t, steps = _piece_boundaries(delta)
     assert np.array_equal(t, [0.0, 0.1 / c_alpha, r / c_alpha, R])
     assert np.array_equal(steps, delta.scale * np.array([0.0, 1.0, 3.0]))
@@ -369,7 +371,7 @@ def test_k_hat_unbiased_mc():
     r = 0.1
     reps = 600
     vals = np.array(
-        [eval_k(k_hat(simulate(m, w, SeedSpec(61, k)), L2, r), r) for k in range(reps)]
+        [k_hat(simulate(m, w, SeedSpec(61, k)), L2, r).eval(r) for k in range(reps)]
     )
     target = 100.0**2 * math.pi * r**2
     se = vals.std(ddof=1) / math.sqrt(reps)
@@ -450,7 +452,7 @@ def test_scaled_delta_alpha_half_unscaled():
     assert delta.c_alpha == pytest.approx(c_alpha, rel=1e-15)
     k = k_hat(p, L2, 2.0)
     for r in (0.05, 0.1, 0.2):
-        expect = eval_k(k, c_alpha * r) - 1.0 * math.pi * (c_alpha * r) ** 2
+        expect = k.eval(c_alpha * r) - 1.0 * math.pi * (c_alpha * r) ** 2
         assert delta.eval(r) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -484,9 +486,9 @@ def test_scaled_delta_piecewise_representation():
     p = PointPattern(rng.uniform(0.0, 10.0, size=(60, 2)), BOX10)
     kf = k_function(PoissonModel(0.6), L2)
     delta = scaled_delta(p, L2, 0.6, kf, alpha=0.5, R=0.2)
-    assert np.all(delta.jump_rs <= 0.2 + 1e-15)
+    assert np.all(delta.empirical.jump_radii <= 0.2 + 1e-15)
     rs = np.sort(rng.uniform(0.0, 0.2, size=50))
-    emp = delta.empirical(rs)
+    emp = delta.empirical.eval(rs)
     theo = delta.theoretical(rs)
     assert np.allclose(emp - theo, delta.eval(rs), rtol=1e-13, atol=1e-13)
 

@@ -14,12 +14,7 @@ from kscope.geometry import (
     body_to_config,
     body_volume,
     circumradius,
-    dilation_volume,
-    erosion_volume,
     gauge_norm,
-    inball_radius,
-    set_covariance,
-    surface_content,
     unit_ball_volume,
     window_from_config,
     window_to_config,
@@ -180,32 +175,32 @@ def test_invalid_bodies_rejected():
 
 def test_set_covariance_box_product():
     w = Box([0.0, 0.0], [10.0, 10.0])
-    assert set_covariance(w, (1.0, 2.0)) == 72.0
+    assert w.set_covariance((1.0, 2.0)) == 72.0
 
 
 def test_set_covariance_at_origin_is_volume():
     w = Box([0.0, 0.0], [10.0, 10.0])
-    assert set_covariance(w, (0.0, 0.0)) == 100.0
+    assert w.set_covariance((0.0, 0.0)) == 100.0
 
 
 def test_set_covariance_disk_disjoint():
     w = Disk((0.0, 0.0), 1.0)
-    assert set_covariance(w, (2.5, 0.0)) == 0.0
+    assert w.set_covariance((2.5, 0.0)) == 0.0
 
 
 def test_set_covariance_disk_lens_value():
     # 2 R^2 arccos(u/(2R)) - (u/2) sqrt(4R^2 - u^2) at R=1, u=1
     w = Disk((0.0, 0.0), 1.0)
     expect = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
-    assert set_covariance(w, (0.0, 1.0)) == pytest.approx(expect, abs=1e-14)
+    assert w.set_covariance((0.0, 1.0)) == pytest.approx(expect, abs=1e-14)
 
 
 def test_set_covariance_vectorized():
     rng = np.random.default_rng(15)
     for w in (Box([0.0, -2.0], [7.0, 3.0]), Disk((1.0, 1.0), 4.0)):
         ys = rng.uniform(-6.0, 6.0, size=(30, 2))
-        batch = set_covariance(w, ys)
-        singles = np.array([set_covariance(w, y) for y in ys])
+        batch = w.set_covariance(ys)
+        singles = np.array([w.set_covariance(y) for y in ys])
         assert np.array_equal(batch, singles)
 
 
@@ -226,28 +221,28 @@ def test_set_covariance_box_3d_written_out():
 
 
 def test_inball_radius_examples():
-    assert inball_radius(Box([0.0, 0.0], [10.0, 4.0])) == 2.0
-    assert inball_radius(Disk((0.0, 0.0), 3.0)) == 3.0
-    assert inball_radius(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])) == 0.5
+    assert Box([0.0, 0.0], [10.0, 4.0]).inball_radius() == 2.0
+    assert Disk((0.0, 0.0), 3.0).inball_radius() == 3.0
+    assert Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]).inball_radius() == 0.5
 
 
 def test_erosion_volume_examples():
-    assert erosion_volume(Box([0.0, 0.0], [10.0, 10.0]), 1.0) == 64.0
-    assert erosion_volume(Disk((0.0, 0.0), 2.0), 2.0) == 0.0
-    assert erosion_volume(Box([0.0, 0.0], [10.0, 10.0]), 0.0) == 100.0
+    assert Box([0.0, 0.0], [10.0, 10.0]).erosion_volume(1.0) == 64.0
+    assert Disk((0.0, 0.0), 2.0).erosion_volume(2.0) == 0.0
+    assert Box([0.0, 0.0], [10.0, 10.0]).erosion_volume(0.0) == 100.0
 
 
 def test_erosion_vanishes_at_inradius():
     rng = np.random.default_rng(16)
     for w in random_windows(rng, 5, 3):
-        assert erosion_volume(w, inball_radius(w)) == pytest.approx(0.0, abs=1e-12)
+        assert w.erosion_volume(w.inball_radius()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dilation_volume_examples():
-    assert dilation_volume(Box([0.0, 0.0], [10.0, 10.0]), 1.0) == pytest.approx(140.0 + math.pi, rel=1e-15)
-    assert dilation_volume(Disk((0.0, 0.0), 1.0), 1.0) == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert Box([0.0, 0.0], [10.0, 10.0]).dilation_volume(1.0) == pytest.approx(140.0 + math.pi, rel=1e-15)
+    assert Disk((0.0, 0.0), 1.0).dilation_volume(1.0) == pytest.approx(4.0 * math.pi, rel=1e-15)
     w = Box([0.0, 0.0], [3.0, 7.0])
-    assert dilation_volume(w, 0.0) == w.volume()
+    assert w.dilation_volume(0.0) == w.volume()
 
 
 def test_dilation_volume_box_3d():
@@ -255,22 +250,22 @@ def test_dilation_volume_box_3d():
     w = Box([0.0, 0.0, 0.0], [2.0, 3.0, 5.0])
     r = 0.5
     expect = 30.0 + 62.0 * r + math.pi * 10.0 * r**2 + 4.0 * math.pi / 3.0 * r**3
-    assert dilation_volume(w, r) == pytest.approx(expect, rel=1e-14)
+    assert w.dilation_volume(r) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(61.0 + 8.0 * math.pi / 3.0)
 
 
 def test_erosion_dilation_1d():
     w = Box([0.0], [10.0])
-    assert erosion_volume(w, 1.0) == 8.0
-    assert dilation_volume(w, 1.0) == 12.0
-    assert set_covariance(w, (3.0,)) == 7.0
-    assert surface_content(w) == 2.0
+    assert w.erosion_volume(1.0) == 8.0
+    assert w.dilation_volume(1.0) == 12.0
+    assert w.set_covariance((3.0,)) == 7.0
+    assert w.surface_content() == 2.0
 
 
 def test_surface_content_examples():
-    assert surface_content(Box([0.0, 0.0], [2.0, 5.0])) == 14.0
-    assert surface_content(Box([0.0, 0.0, 0.0], [2.0, 3.0, 5.0])) == 62.0
-    assert surface_content(Disk((0.0, 0.0), 3.0)) == pytest.approx(6.0 * math.pi, rel=1e-15)
+    assert Box([0.0, 0.0], [2.0, 5.0]).surface_content() == 14.0
+    assert Box([0.0, 0.0, 0.0], [2.0, 3.0, 5.0]).surface_content() == 62.0
+    assert Disk((0.0, 0.0), 3.0).surface_content() == pytest.approx(6.0 * math.pi, rel=1e-15)
 
 
 def test_invalid_windows_rejected():
@@ -293,14 +288,14 @@ def test_set_covariance_symmetry_exact():
     for w in random_windows(rng, 12, 8):
         d = w.dimension
         ys = rng.uniform(-10.0, 10.0, size=(50, d))
-        assert np.array_equal(set_covariance(w, ys), set_covariance(w, -ys))
+        assert np.array_equal(w.set_covariance(ys), w.set_covariance(-ys))
 
 
 def test_set_covariance_zero_when_disjoint():
     w = Box([0.0, 0.0], [4.0, 6.0])
-    assert set_covariance(w, (4.0, 0.0)) == 0.0
-    assert set_covariance(w, (5.0, 1.0)) == 0.0
-    assert set_covariance(Disk((0.0, 0.0), 2.0), (4.0, 0.0)) == 0.0
+    assert w.set_covariance((4.0, 0.0)) == 0.0
+    assert w.set_covariance((5.0, 1.0)) == 0.0
+    assert Disk((0.0, 0.0), 2.0).set_covariance((4.0, 0.0)) == 0.0
 
 
 def test_set_covariance_monotone_along_rays():
@@ -310,8 +305,8 @@ def test_set_covariance_monotone_along_rays():
         for _ in range(5):
             u = rng.normal(size=d)
             u /= np.linalg.norm(u)
-            ts = np.linspace(0.0, 3.0 * inball_radius(w), 40)
-            vals = set_covariance(w, ts[:, None] * u[None, :])
+            ts = np.linspace(0.0, 3.0 * w.inball_radius(), 40)
+            vals = w.set_covariance(ts[:, None] * u[None, :])
             assert np.all(np.diff(vals) <= 1e-12 * w.volume())
 
 
@@ -319,7 +314,7 @@ def test_set_covariance_bounded_by_volume():
     rng = np.random.default_rng(19)
     for w in random_windows(rng, 8, 4):
         ys = rng.uniform(-5.0, 5.0, size=(40, w.dimension))
-        vals = np.asarray(set_covariance(w, ys))
+        vals = np.asarray(w.set_covariance(ys))
         assert np.all(vals >= 0.0)
         assert np.all(vals <= w.volume() * (1 + 1e-15))
 
@@ -335,9 +330,9 @@ _BATTERY = random_windows(_BATTERY_RNG, 60, 40)
 def test_erosion_shrinkage_bound():
     """1 - |W erode r| / |W| lies in [0, d r / rho(W)] for r up to rho(W)."""
     for w in _BATTERY:
-        d, rho, vol = w.dimension, inball_radius(w), w.volume()
+        d, rho, vol = w.dimension, w.inball_radius(), w.volume()
         for r in np.linspace(0.0, rho, 50):
-            shrink = 1.0 - erosion_volume(w, r) / vol
+            shrink = 1.0 - w.erosion_volume(r) / vol
             assert shrink >= -1e-12
             assert d * r / rho - shrink >= -1e-9
 
@@ -345,9 +340,9 @@ def test_erosion_shrinkage_bound():
 def test_dilation_growth_bound():
     """dil/|W| - 1 lies in [r/rho, (2^d - 1) r / rho] for r up to rho(W)."""
     for w in _BATTERY:
-        d, rho, vol = w.dimension, inball_radius(w), w.volume()
+        d, rho, vol = w.dimension, w.inball_radius(), w.volume()
         for r in np.linspace(0.0, rho, 50):
-            grow = dilation_volume(w, r) / vol - 1.0
+            grow = w.dilation_volume(r) / vol - 1.0
             assert grow - r / rho >= -1e-9
             assert (2.0**d - 1.0) * r / rho - grow >= -1e-9
 
@@ -355,10 +350,10 @@ def test_dilation_growth_bound():
 def test_dilation_minus_erosion_surface_bound():
     """Annulus volume is at most (2^d - 1 + d) r |boundary W|."""
     for w in _BATTERY:
-        d, rho = w.dimension, inball_radius(w)
-        surf = surface_content(w)
+        d, rho = w.dimension, w.inball_radius()
+        surf = w.surface_content()
         for r in np.linspace(0.0, rho, 50):
-            gap = dilation_volume(w, r) - erosion_volume(w, r)
+            gap = w.dilation_volume(r) - w.erosion_volume(r)
             assert (2.0**d - 1.0 + d) * r * surf - gap >= -1e-9
 
 
@@ -366,14 +361,14 @@ def test_covariance_deficit_ratio_bound():
     """sup over x in rB of (|W| - |W cap (W-x)|)/|W| is at most d kappa r / rho."""
     rng = np.random.default_rng(21)
     for w in _BATTERY:
-        d, rho, vol = w.dimension, inball_radius(w), w.volume()
+        d, rho, vol = w.dimension, w.inball_radius(), w.volume()
         body = random_body(rng, d)
         kappa = circumradius(body)
         for r in np.linspace(0.0, rho / kappa, 8)[1:]:
             dirs = rng.normal(size=(16, d))
             gauges = gauge_norm(body, dirs)
             xs = r * dirs / gauges[:, None]
-            deficit = (vol - np.asarray(set_covariance(w, xs))) / vol
+            deficit = (vol - np.asarray(w.set_covariance(xs))) / vol
             assert np.all(d * kappa * r / rho - deficit >= -1e-9)
 
 

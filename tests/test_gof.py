@@ -9,7 +9,9 @@ from scipy import integrate, optimize
 
 from kscope.estimate import (
     EstimatorKind,
+    KEstimate,
     ScaledDelta,
+    _scaled_k,
     lambda2_hat,
     lambda_hat,
     scaled_delta,
@@ -375,11 +377,10 @@ def test_ks_sup_matches_dense_grid():
             rep = ks_statistic(p, L2, lam0, null_k, 0.5, R, weight=weight, clamp=True)
 
             delta = scaled_delta(p, L2, lam0, null_k, 0.5, R)
+            jumps = delta.empirical.jump_radii
             grid = np.linspace(0.0, R, 100_001)
             grid = np.unique(
-                np.concatenate(
-                    [grid, delta.jump_rs, np.nextafter(delta.jump_rs, 0.0), [R]]
-                )
+                np.concatenate([grid, jumps, np.nextafter(jumps, 0.0), [R]])
             )
             grid = grid[(grid >= 0.0) & (grid <= R)]
             sup = float(np.max(np.abs(delta.eval(grid)) * weight.eval(grid)))
@@ -399,10 +400,9 @@ def _ks_sup_full_grid(delta, weight):
     pieces, and the first 64 pieces whose grid maximum reaches
     ``best (1 - 1e-6)`` are polished by bounded scalar optimization.
     """
-    t = np.concatenate(
-        ([0.0], delta.jump_rs[delta.jump_rs < delta.R], [delta.R])
-    )
-    steps = np.concatenate(([0.0], delta.step_values[: t.size - 2]))
+    jumps = delta.empirical.jump_radii
+    t = np.concatenate(([0.0], jumps[jumps < delta.R], [delta.R]))
+    steps = np.concatenate(([0.0], delta.empirical.jump_values[: t.size - 2]))
     theo = np.asarray(delta.theoretical(t), dtype=float)
     right_cand = np.abs(steps - theo[:-1])
     left_cand = np.abs(steps - theo[1:])
@@ -455,13 +455,15 @@ def _polished_pieces(monkeypatch, fn, delta, weight):
     return value, calls
 
 
-def _step_delta(jump_rs, step_values, beta, R=1.0):
+def _step_delta(radii, values, beta, R=1.0):
     """A scaled difference with the given steps and the curve beta r^2."""
+    empirical = KEstimate(
+        L2, EstimatorKind.HT, R, 1.0,
+        np.asarray(radii, dtype=float), np.asarray(values, dtype=float),
+    )
     return ScaledDelta(
-        alpha=0.5, R=R, null_lambda=1.0, null_k=POISSON_K, body=L2,
-        kind=EstimatorKind.HT, window_volume=1.0, c_alpha=1.0, scale=1.0,
-        jump_rs=np.asarray(jump_rs, dtype=float),
-        step_values=np.asarray(step_values, dtype=float), theory_power_beta=beta,
+        alpha=0.5, R=R, null_lambda=1.0, null_k=POISSON_K, c_alpha=1.0,
+        scale=1.0, empirical=empirical, theory_power_beta=beta,
     )
 
 
@@ -491,7 +493,7 @@ def test_ks_sup_pruned_matches_full_grid(monkeypatch):
         ):
             p = simulate(model, window, SeedSpec(31, 3 * w_i + n_i))
             deltas.append(scaled_delta(p, L2, model.intensity, null_k, 0.5, R))
-            assert deltas[-1].jump_rs.size > 500
+            assert deltas[-1].empirical.jump_radii.size > 500
     polished = 0
     for delta in deltas:
         for weight in weights:
@@ -510,9 +512,9 @@ def test_ks_sup_pruning_keeps_near_tied_contenders(monkeypatch):
     value, so a bound from the corner at the right end alone would drop
     them."""
     a, beta, w = 4.0, 3.0, 1e-7
-    jump_rs = 0.01 + w * np.arange(200)
-    steps = beta * jump_rs**2 + 6e-4 * np.exp(a * jump_rs)
-    delta = _step_delta(jump_rs, steps, beta, R=jump_rs[-1] + w)
+    radii = 0.01 + w * np.arange(200)
+    steps = beta * radii**2 + 6e-4 * np.exp(a * radii)
+    delta = _step_delta(radii, steps, beta, R=radii[-1] + w)
     weight = SupWeight("exp_decay", a=a)
     got = _polished_pieces(monkeypatch, _ks_sup, delta, weight)
     want = _polished_pieces(monkeypatch, _ks_sup_full_grid, delta, weight)
@@ -537,7 +539,7 @@ def test_cvm_integral_matches_quadrature():
         rep = cvm_statistic(p, L2, lam0, POISSON_K, 0.5, R, weight=weight, clamp=True)
 
         delta = scaled_delta(p, L2, lam0, POISSON_K, 0.5, R)
-        cuts = np.unique(np.concatenate(([0.0], delta.jump_rs, [R])))
+        cuts = np.unique(np.concatenate(([0.0], delta.empirical.jump_radii, [R])))
         cuts = cuts[(cuts >= 0.0) & (cuts <= R)]
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -733,10 +735,12 @@ def test_two_sample_cvm_matches_manual_integration():
     rep = two_sample_cvm(pa, pb, L2, 0.5, R)
     da = scaled_delta(pa, L2, 1.0, POISSON_K, 0.5, R)
     db = scaled_delta(pb, L2, 1.0, POISSON_K, 0.5, R)
-    cuts = np.unique(np.concatenate(([0.0], da.jump_rs, db.jump_rs, [R])))
+    cuts = np.unique(np.concatenate(
+        ([0.0], da.empirical.jump_radii, db.empirical.jump_radii, [R])
+    ))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        diff = da.empirical(lo) - db.empirical(lo)
+        diff = da.empirical.eval(lo) - db.empirical.eval(lo)
         total += diff**2 * (hi - lo)
     lam_a, lam2_a, s2_a = _clamped_denominators(pa)
     lam_b, lam2_b, s2_b = _clamped_denominators(pb)
@@ -757,18 +761,18 @@ def test_merged_steps_match_fresh_sort():
     lattice = grid_pattern().points
     R = 0.55
     for _ in range(5):
-        da, db = (
-            scaled_delta(
+        ka, kb = (
+            _scaled_k(
                 PointPattern(lattice[rng.random(len(lattice)) < 0.7], BOX10),
-                L2, 1.0, POISSON_K, 0.5, R,
+                L2, 0.5, R, EstimatorKind.HT, None,
             )
             for _ in range(2)
         )
-        t, diff = _merged_steps(da, db)
-        t_ref = np.unique(np.concatenate(([0.0], da.jump_rs, db.jump_rs, [R])))
+        t, diff = _merged_steps(ka, kb)
+        t_ref = np.unique(np.concatenate(([0.0], ka.jump_radii, kb.jump_radii, [R])))
         assert np.array_equal(t, t_ref)
-        assert np.array_equal(diff, da.empirical(t_ref[:-1]) - db.empirical(t_ref[:-1]))
-        t_ba, diff_ba = _merged_steps(db, da)
+        assert np.array_equal(diff, ka.eval(t_ref[:-1]) - kb.eval(t_ref[:-1]))
+        t_ba, diff_ba = _merged_steps(kb, ka)
         assert np.array_equal(t_ba, t) and np.array_equal(diff_ba, -diff)
 
 

@@ -13,18 +13,7 @@ import pytest
 
 from kscope.cli import main
 from kscope.gof import limit_constant, normal_quantile, TestKind as Kind
-from kscope.mcharness import (
-    StudyConfig,
-    StudyReport,
-    estimator_equivalence_study,
-    limit_law_study,
-    null_level_study,
-    power_study,
-    run_study,
-    sigma2_consistency_study,
-    unbiasedness_study,
-    variance_convergence_study,
-)
+from kscope.mcharness import StudyConfig, StudyReport, run_study
 from kscope.simulate import theoretical_sigma2, theoretical_tau2
 
 
@@ -183,19 +172,44 @@ def test_scaled_domain_guard_rejects_ladder_early(tmp_path):
     StudyConfig.from_config(dict(cfg, study="unbiasedness", radii=[0.5]))
 
 
-def test_named_wrappers_check_study_kind():
-    cfg = base_config(replicates=2, windows=(box(4), box(5)), radii=(0.3,),
-                      estimators=("ht",))
-    with pytest.raises(ValueError, match="declares study"):
-        null_level_study(cfg)
-    rep = unbiasedness_study(cfg)
-    assert rep.study == "unbiasedness"
-    # dict input: the wrapper fills in its own study kind
-    as_dict = cfg.to_config()
-    del as_dict["study"]
-    rep2 = unbiasedness_study(as_dict)
-    assert rep2.study == "unbiasedness"
-    assert rep2.windows == rep.windows
+# well-formed configs that a replicate would otherwise be the first to reject;
+# on box(12), c = 12 and the inradius is 6
+_LATE_ERRORS = {
+    "naive_two_sample": (
+        {"statistics": ["two_ks"], "estimator": "naive"}, "ht and border"),
+    "chi2_radii_decreasing": (
+        {"statistics": ["chi2"], "radii": [0.4, 0.2]}, "strictly increasing"),
+    "chi2_radii_beyond_R": (
+        {"statistics": ["chi2"], "radii": [0.2, 0.6]}, "strictly increasing"),
+    "exp_decay_below_d_over_R": (
+        {"weight_v": {"kind": "exp_decay", "a": 3.0}}, "a >= d/R"),
+    "two_sample_exp_decay": (
+        {"statistics": ["two_ks"], "weight_v": {"kind": "exp_decay", "a": 3.0}},
+        "a >= d/R"),
+    "unknown_weight_V": (
+        {"statistics": ["cvm"], "weight_V": {"kind": "bogus"}}, "integral weight"),
+    "unknown_kernel": ({"kernel": "bogus"}, "bogus"),
+    "zero_bandwidth": ({"bandwidth": 0.0}, "bandwidth"),
+    "negative_bandwidth": ({"study": "sigma2_consistency", "bandwidth": -1.0}, "bandwidth"),
+    "kernel_support_reaches_inradius": ({"bandwidth": 0.5}, "kernel support"),
+    "sigma2_kernel_support": (
+        {"study": "sigma2_consistency", "bandwidth": 0.5}, "kernel support"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_ERRORS))
+def test_config_errors_fail_before_any_replicate(case, tmp_path):
+    overrides, message = _LATE_ERRORS[case]
+    cfg = dict(
+        study="null_level", model=POISSON1, windows=[box(12)], body=L2_BODY,
+        replicates=2, master_seed=3, statistics=["ks"], R=0.5, workers=2,
+    )
+    cfg.update(overrides)
+    with pytest.raises(ValueError, match=message):
+        StudyConfig.from_config(cfg)
+    cfg_path = tmp_path / "late.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["mc", str(cfg_path)]) == 1
 
 
 # -- determinism ------------------------------------------------------------
@@ -270,7 +284,7 @@ def test_unbiasedness_report(unbias_report):
 
 
 def test_variance_zero_radius_is_degenerate_zero():
-    rep = variance_convergence_study(base_config(
+    rep = run_study(base_config(
         study="variance_convergence", replicates=3,
         windows=(box(5), box(6)), radii=(0.0,), estimators=("ht",),
     ))
@@ -283,7 +297,7 @@ def test_variance_zero_radius_is_degenerate_zero():
 
 def test_variance_smoke_targets():
     model = {"variant": "poisson", "lambda": 2.0}
-    rep = variance_convergence_study(base_config(
+    rep = run_study(base_config(
         study="variance_convergence", model=model, replicates=80,
         windows=(box(8), box(11)), radii=(0.3, 0.6), estimators=("ht",),
         tolerances={"relative_error": 10.0, "decrease_slack": 10.0},
@@ -304,7 +318,7 @@ def test_variance_smoke_targets():
 def test_sigma2_smoke_and_empty_patterns():
     # intensity low enough that many replicates carry zero or one point;
     # the estimator returns 0 there and aggregation must stay finite
-    rep = sigma2_consistency_study(base_config(
+    rep = run_study(base_config(
         study="sigma2_consistency", replicates=40,
         model={"variant": "poisson", "lambda": 0.02},
         windows=(box(4), box(6)), radii=None, estimators=("ht",),
@@ -319,7 +333,7 @@ def test_sigma2_smoke_and_empty_patterns():
 
 def test_sigma2_target_for_cluster_model():
     thomas = {"variant": "thomas", "kappa": 0.5, "mu": 3.0, "sigma_c": 0.4}
-    rep = sigma2_consistency_study(base_config(
+    rep = run_study(base_config(
         study="sigma2_consistency", model=thomas, replicates=5,
         windows=(box(6), box(8)), radii=None, estimators=("ht",),
         tolerances={"relative_bias": 100.0},
@@ -332,7 +346,7 @@ def test_sigma2_target_for_cluster_model():
 
 
 def test_null_level_metrics_and_threshold():
-    rep = null_level_study(base_config(
+    rep = run_study(base_config(
         study="null_level", replicates=40, windows=(box(12),), R=0.5,
         radii=None, estimators=("ht",), statistics=("ks", "cvm"),
         tolerances={"level_low": -1.0, "level_high": 1.0},
@@ -359,7 +373,7 @@ def test_null_level_metrics_and_threshold():
 
 
 def test_two_sample_power_smoke():
-    rep = power_study(base_config(
+    rep = run_study(base_config(
         study="power", replicates=30, windows=(box(8), box(10)), R=0.5,
         radii=None, estimators=("ht",), statistics=("two_ks",),
         tolerances={"power_at_largest": 0.0, "increase_slack": 1.0},
@@ -372,7 +386,7 @@ def test_two_sample_power_smoke():
 
 
 def test_limit_law_smoke():
-    rep = limit_law_study(base_config(
+    rep = run_study(base_config(
         study="limit_law", replicates=40, windows=(box(12),), R=0.5,
         radii=None, estimators=("ht",), statistics=("ks",),
         tolerances={"limit_distance": 1.0},
@@ -387,7 +401,7 @@ def test_limit_law_smoke():
 def test_limit_constant_scale_forces_failure():
     # inflating the limit constant suppresses every rejection, so the
     # lower level bound must fail; this is the harness self-check hook
-    rep = null_level_study(base_config(
+    rep = run_study(base_config(
         study="null_level", replicates=25, windows=(box(10),), R=0.5,
         radii=None, estimators=("ht",), statistics=("ks",),
         limit_constant_scale=1000.0,
@@ -400,7 +414,7 @@ def test_limit_constant_scale_forces_failure():
 
 
 def test_equivalence_smoke():
-    rep = estimator_equivalence_study(base_config(
+    rep = run_study(base_config(
         study="estimator_equivalence", replicates=40,
         windows=(box(5), box(9)), radii=None, estimators=("ht",),
         scaled_radius=0.5, tolerances={"decrease_factor": 1e-9},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kscope.estimate import eval_k, k_hat
+from kscope.estimate import k_hat
 from kscope.geometry import BodyShape, Box, Disk, StructuringBody
 from kscope.simulate import (
     MaternClusterModel,
@@ -18,7 +18,6 @@ from kscope.simulate import (
     model_from_config,
     model_to_config,
     simulate,
-    theoretical_k,
     theoretical_sigma2,
     theoretical_tau2,
 )
@@ -208,11 +207,11 @@ def test_poisson_thinning_consistency():
 
 def test_poisson_k_values():
     m = PoissonModel(1.0)
-    assert theoretical_k(m, L2, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert k_function(m, L2)(2.0) == pytest.approx(4.0 * math.pi, rel=1e-14)
     linf = StructuringBody(2, BodyShape.LINF_BALL)
-    assert theoretical_k(m, linf, 1.0) == pytest.approx(4.0, rel=1e-14)
+    assert k_function(m, linf)(1.0) == pytest.approx(4.0, rel=1e-14)
     l1_3d = StructuringBody(3, BodyShape.L1_BALL)
-    assert theoretical_k(m, l1_3d, 2.0) == pytest.approx((4.0 / 3.0) * 8.0, rel=1e-14)
+    assert k_function(m, l1_3d)(2.0) == pytest.approx((4.0 / 3.0) * 8.0, rel=1e-14)
 
 
 def test_poisson_k_power_coeff():
@@ -225,7 +224,7 @@ def test_poisson_k_power_coeff():
 def test_thomas_k_saturates():
     m = ThomasModel(kappa=0.25, mu=4.0, sigma_c=0.5)
     r = 100.0
-    assert theoretical_k(m, L2, r) == pytest.approx(math.pi * r**2 + 4.0, rel=1e-12)
+    assert k_function(m, L2)(r) == pytest.approx(math.pi * r**2 + 4.0, rel=1e-12)
     # exceeds the Poisson K at every positive radius (clustering)
     rs = np.linspace(0.1, 3.0, 20)
     assert np.all(k_function(m, L2)(rs) > math.pi * rs**2)
@@ -235,7 +234,7 @@ def test_thomas_k_closed_form():
     m = ThomasModel(kappa=0.25, mu=4.0, sigma_c=0.5)
     r = 1.25
     expect = math.pi * r**2 + 4.0 * (1.0 - math.exp(-(r**2) / (4.0 * 0.25)))
-    assert theoretical_k(m, L2, r) == pytest.approx(expect, rel=1e-14)
+    assert k_function(m, L2)(r) == pytest.approx(expect, rel=1e-14)
 
 
 def test_cluster_k_rejects_non_euclidean_bodies():
@@ -296,9 +295,9 @@ def test_thomas_k_against_estimator():
     vals = []
     for k in range(60):
         p = simulate(m, w, SeedSpec(83, k))
-        vals.append(eval_k(k_hat(p, L2, r), r))
+        vals.append(k_hat(p, L2, r).eval(r))
     vals = np.asarray(vals)
-    target = m.intensity**2 * theoretical_k(m, L2, r)
+    target = m.intensity**2 * k_function(m, L2)(r)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
 
