@@ -26,6 +26,14 @@ estimate ``r -> |W|^(1/2 - alpha) khat(c^alpha r)`` on [0, R] is again a
 :class:`KEstimate`, in scaled units; the goodness-of-fit statistics
 compare it with a hypothesized curve (:class:`ScaledDelta`) or with the
 scaled estimate of a second pattern.
+
+The quantities of the evaluation window that these depend on, c =
+|W|^(1/d), ``c^alpha``, ``|W|^(1/2 - alpha)``, the sigma2_hat bandwidth
+and its kernel support, are computed and checked once, in a private
+``_Scaling`` record.  ``scaled_delta`` builds one; the test functions of
+:mod:`kscope.gof` build one per window ahead of any pair search, and the
+scaled estimate, sigma2_hat's bandwidth and the report config read it; a
+Monte-Carlo study builds one per rung for its naive plus-sampling margin.
 """
 
 from __future__ import annotations
@@ -159,26 +167,6 @@ def _require_guard(r_max: float, body: StructuringBody, window: ObservationWindo
             f"query radius reaches {reach:.6g} but the window inradius is "
             f"{rho:.6g}; r_max * circumradius(B) < inball_radius(W) is required"
         )
-
-
-def _require_scaled_domain(
-    window: ObservationWindow, body: StructuringBody, alpha: float, R: float
-) -> float:
-    """Return ``c^alpha`` with ``c = |W|^(1/d)`` after checking the guard.
-
-    The scaled comparison process needs ``c^alpha R circumradius(B) <=
-    inball_radius(W) / 2``; a ValueError names both sides otherwise.
-    """
-    c_alpha = (window.volume() ** (1.0 / body.dimension)) ** alpha
-    reach = c_alpha * R * circumradius(body)
-    rho = window.inball_radius()
-    if not (reach <= rho / 2.0):
-        raise ValueError(
-            f"scaled query radius reaches {reach:.6g} but "
-            f"only half the window inradius ({rho / 2.0:.6g}) is allowed; "
-            "shrink R or alpha, or enlarge the window"
-        )
-    return c_alpha
 
 
 def _check_plus_sampling(
@@ -322,12 +310,15 @@ def lambda2_hat(p: PointPattern) -> float:
     return n * (n - 1) / p.window.volume() ** 2
 
 
-def _kernel_support(window: ObservationWindow, bandwidth: float | None) -> float:
-    """Radius ``b c`` of the sigma2_hat kernel, checked against the inradius.
+def _length_scale(window: ObservationWindow) -> float:
+    """c = |W|^(1/d)."""
+    return window.volume() ** (1.0 / window.dimension)
 
-    c = |W|^(1/d) and the bandwidth b defaults to ``c**-0.75``.
-    """
-    c_n = window.volume() ** (1.0 / window.dimension)
+
+def _kernel_support(window: ObservationWindow, bandwidth: float | None):
+    """Bandwidth b and radius ``b c`` of the sigma2_hat kernel, checked
+    against the inradius; b defaults to ``c**-0.75``."""
+    c_n = _length_scale(window)
     b = c_n**-0.75 if bandwidth is None else float(bandwidth)
     if not (b > 0) or not math.isfinite(b):
         raise ValueError("bandwidth must be a positive finite float")
@@ -337,7 +328,49 @@ def _kernel_support(window: ObservationWindow, bandwidth: float | None) -> float
             f"kernel support radius {support:.6g} must stay below the window "
             f"inradius {window.inball_radius():.6g}; decrease the bandwidth"
         )
-    return support
+    return b, support
+
+
+@dataclass(frozen=True)
+class _Scaling:
+    """Scaling quantities of one evaluation window W, computed and checked once.
+
+    With c = |W|^(1/d), the scaled process reads K at ``c_alpha r`` and
+    multiplies by ``scale = |W|^(1/2 - alpha)``; sigma2_hat's kernel of
+    bandwidth b reaches ``support = b c``.
+    """
+
+    volume: float
+    c: float
+    c_alpha: float
+    scale: float
+    bandwidth: float | None
+    support: float | None
+
+    @classmethod
+    def of(cls, window, body, alpha, R=None, bandwidth=None, kernel=True) -> "_Scaling":
+        """Record of ``window`` after the checks that apply: alpha in (0, 1/2];
+        given R, R positive and finite and ``c^alpha R circumradius(B) <=
+        inball_radius(W) / 2``; with ``kernel``, :func:`_kernel_support`
+        (without it, bandwidth and support are None)."""
+        if not (0.0 < alpha <= 0.5):
+            raise ValueError("alpha must lie in (0, 1/2]")
+        c = _length_scale(window)
+        c_alpha = c**alpha
+        if R is not None:
+            if not (R > 0) or not math.isfinite(R):
+                raise ValueError("R must be a positive finite float")
+            reach = c_alpha * R * circumradius(body)
+            rho = window.inball_radius()
+            if not (reach <= rho / 2.0):
+                raise ValueError(
+                    f"scaled query radius reaches {reach:.6g} but "
+                    f"only half the window inradius ({rho / 2.0:.6g}) is allowed; "
+                    "shrink R or alpha, or enlarge the window"
+                )
+        b, support = _kernel_support(window, bandwidth) if kernel else (None, None)
+        volume = window.volume()
+        return cls(volume, c, c_alpha, volume ** (0.5 - alpha), b, support)
 
 
 _KERNEL_INTEGRAL = {
@@ -370,7 +403,7 @@ def sigma2_hat(
     kernel = KernelKind(kernel)
     w = p.window
     d = p.dimension
-    support = _kernel_support(w, bandwidth)
+    _, support = _kernel_support(w, bandwidth)
     euclid = StructuringBody(d, BodyShape.L2_BALL, 1.0)
     _, _, diffs, dists = close_pairs(p.points, euclid, support)
     if dists.size:
@@ -437,39 +470,30 @@ class ScaledDelta:
 def _scaled_k(
     p: PointPattern,
     body: StructuringBody,
-    alpha: float,
     R: float,
     kind: EstimatorKind | str,
     window: ObservationWindow | None,
+    scaling: _Scaling,
 ) -> KEstimate:
     """Scaled K estimate ``r -> |W|^(1/2 - alpha) khat(c^alpha r)`` on [0, R].
 
-    Checks the scaled-domain guard, estimates at ``c^alpha R`` and returns
-    the result in scaled units (``r_max = R``).
+    Estimates at ``c^alpha R`` with the scaling of the evaluation window
+    and returns the result in scaled units (``r_max = R``).
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError("alpha must lie in (0, 1/2]")
-    if not (R > 0) or not math.isfinite(R):
-        raise ValueError("R must be a positive finite float")
-    kind = EstimatorKind(kind)
-    eval_window = window if kind is EstimatorKind.NAIVE else p.window
-    if eval_window is None:
-        raise ValueError("the naive estimator requires an evaluation window")
-    vol = eval_window.volume()
-    c_alpha = _require_scaled_domain(eval_window, body, alpha, R)
+    c_alpha = scaling.c_alpha
     khat = k_hat(p, body, c_alpha * R, kind=kind, window=window)
     # dividing by c^alpha (or clipping at R) can merge adjacent radii; the
     # last of each run carries the value through all of them
     radii = np.minimum(khat.jump_radii / c_alpha, R)
-    values = vol ** (0.5 - alpha) * khat.jump_values
+    values = scaling.scale * khat.jump_values
     last = _run_ends(radii)
     if not last.all():
         radii, values = radii[last], values[last]
     return KEstimate(
         body=body,
-        kind=kind,
+        kind=khat.kind,
         r_max=float(R),
-        window_volume=vol,
+        window_volume=scaling.volume,
         jump_radii=radii,
         jump_values=values,
     )
@@ -514,21 +538,21 @@ def scaled_delta(
     """
     if not (null_lambda > 0) or not math.isfinite(null_lambda):
         raise ValueError("null_lambda must be a positive finite float")
-    empirical = _scaled_k(p, body, alpha, R, kind, window)
-    vol = empirical.window_volume
-    c_alpha = (vol ** (1.0 / body.dimension)) ** alpha
-    scale = vol ** (0.5 - alpha)
+    # k_hat rejects a window given to, or missing for, the wrong estimator
+    eval_window = p.window if window is None else window
+    scaling = _Scaling.of(eval_window, body, alpha, R, kernel=False)
+    empirical = _scaled_k(p, body, R, kind, window, scaling)
     beta = None
     pc = getattr(null_k, "power_coeff", None)
     if pc is not None:
-        beta = scale * null_lambda**2 * pc * vol**alpha
+        beta = scaling.scale * null_lambda**2 * pc * scaling.volume**alpha
     return ScaledDelta(
         alpha=float(alpha),
         R=float(R),
         null_lambda=float(null_lambda),
         null_k=null_k,
-        c_alpha=c_alpha,
-        scale=scale,
+        c_alpha=scaling.c_alpha,
+        scale=scaling.scale,
         empirical=empirical,
         theory_power_beta=beta,
     )

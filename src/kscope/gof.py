@@ -45,6 +45,7 @@ from .estimate import (
     KernelKind,
     ScaledDelta,
     _run_ends,
+    _Scaling,
     _scaled_k,
     _value_after,
     lambda_hat,
@@ -438,9 +439,9 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
     on the pieces whose bound reaches ``best (1 - 1e-6)``, the contender
     tolerance (less a further 1e-9 for rounding in theta and exp).  Any
     other piece can neither raise the sup nor become a contender, so
-    pruning it changes neither the contenders nor the result.  The first
-    64 contenders are polished with bounded scalar optimization on the
-    squared objective.
+    pruning it changes neither the contenders nor the result.  Every
+    contender is polished with bounded scalar optimization on the squared
+    objective.
     """
     if weight.kind == "const_one":
         # corners read off views of the jumps, so the peak stays at scaled_delta's
@@ -487,7 +488,7 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
     best = max(best, float(piece_best.max(initial=0.0)))
     # polish the contenders: bounded search on the smooth squared objective
     contenders = keep[piece_best >= best * (1.0 - 1e-6)]
-    for k in contenders[:64]:
+    for k in contenders:
         h = float(steps[k])
 
         def neg_sq(r):
@@ -508,95 +509,66 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
 # one-sample statistics
 
 
-def _one_sample_inputs(
-    p: PointPattern,
-    null_lambda: float,
-    alpha: float,
-    kind: EstimatorKind | str,
-    window: ObservationWindow | None,
-    kernel: KernelKind | str,
-    bandwidth: float | None,
-    clamp: bool,
-):
-    kind = EstimatorKind(kind)
-    eval_window = window if kind is EstimatorKind.NAIVE else p.window
-    if eval_window is None:
-        raise ValueError("the naive estimator requires an evaluation window")
-    obs = restrict_pattern(p, eval_window) if kind is EstimatorKind.NAIVE else p
+def _checked_scalings(
+    windows, body, alpha, R, bandwidth, kinds, radii, sup_weight
+) -> tuple[list, list]:
+    """Scaling record of each evaluation window, and the starting warnings.
+
+    Every check on the test options runs here, before any pair search:
+    the chi2 radii, the sup weight's domain and each record's
+    scaled-domain and kernel checks.  Studies run it once per ladder.
+    """
+    if TestKind.CHI2 in kinds:
+        _chi2_radii(radii, R)
+    if TestKind.KS in kinds or TestKind.TWO_KS in kinds:
+        sup_weight.validate_domain(R, body.dimension)
+    scalings = [_Scaling.of(w, body, alpha, R, bandwidth) for w in windows]
     warnings = []
     if alpha <= 0.25:
         warnings.append(
             "SMALL_ALPHA: alpha <= 1/4 is outside the regime where the "
             "scaled-domain conditions are verifiable; interpret with care"
         )
-    lam = lambda_hat(obs)
-    if len(obs) <= 1:
-        # n <= 1 leaves both lambda2_hat and sigma2_hat without information;
-        # with clamping enabled the denominators fall back to their values
-        # under the hypothesized intensity so the statistic stays finite
-        # (and large, since the curve term keeps its full deviation)
-        if not clamp:
-            raise DegeneratePatternError(
-                "DEGENERATE_PATTERN: one-sample statistics require at least "
-                f"two points in the evaluation window, got {len(obs)}; "
-                "enable clamping to fall back to null-based denominators"
-            )
-        warnings.append(
-            f"DEGENERATE_PATTERN: {len(obs)} point(s); denominators fell "
-            "back to the hypothesized intensity"
-        )
-        return obs, lam, null_lambda, null_lambda**2, max(lam, null_lambda), warnings
-    lam2 = lambda2_hat(obs)
-    s2 = sigma2_hat(obs, kernel=kernel, bandwidth=bandwidth)
+    return scalings, warnings
+
+
+def _clamped_sigma2(pat, kernel, scaling, clamp, warnings, label="") -> float:
+    """sigma2_hat of pat with the record's bandwidth.
+
+    A nonpositive value raises NONPOSITIVE_VARIANCE, or with clamping is
+    replaced by ``max(sigma2_hat, lambda_hat)`` and noted in warnings.
+    """
+    s2 = sigma2_hat(pat, kernel=kernel, bandwidth=scaling.bandwidth)
     if s2 <= 0.0:
         if not clamp:
             raise NonpositiveVarianceError(
-                f"NONPOSITIVE_VARIANCE: sigma2_hat = {s2:.6g}; rerun with "
+                f"NONPOSITIVE_VARIANCE: sigma2_hat{label} = {s2:.6g}; rerun with "
                 "clamping enabled to substitute max(sigma2_hat, lambda_hat)"
             )
         warnings.append(
-            f"NONPOSITIVE_VARIANCE: sigma2_hat = {s2:.6g} clamped to "
+            f"NONPOSITIVE_VARIANCE: sigma2_hat{label} = {s2:.6g} clamped to "
             "max(sigma2_hat, lambda_hat)"
         )
-        s2 = max(s2, lam)
-    return obs, lam, lam, lam2, s2, warnings
-
-
-def _resolved_bandwidth(window: ObservationWindow, bandwidth: float | None) -> float:
-    d = window.dimension
-    c_n = window.volume() ** (1.0 / d)
-    return c_n**-0.75 if bandwidth is None else float(bandwidth)
+        s2 = max(s2, lambda_hat(pat))
+    return s2
 
 
 def _base_config(
-    kind: TestKind,
-    p: PointPattern,
-    body: StructuringBody,
-    alpha: float,
-    R: float,
-    gamma: float,
-    estimator,
-    eval_window: ObservationWindow,
-    kernel,
-    bandwidth,
-    clamp: bool,
-    extra_config: dict | None,
+    body, alpha, R, gamma, estimator, window, kernel, scaling, clamp, extra_config
 ) -> dict:
+    """Config echo shared by every report of one call, less the test kind."""
     cfg = {
-        "test": kind.value,
         "alpha": alpha,
         "R": R,
         "gamma": gamma,
         "body": body_to_config(body),
-        "estimator": EstimatorKind(estimator).value,
+        "estimator": estimator.value,
         "kernel": KernelKind(kernel).value,
-        "bandwidth": _resolved_bandwidth(eval_window, bandwidth),
+        "bandwidth": scaling.bandwidth,
         "clamp": bool(clamp),
-        "window": window_to_config(eval_window),
-        "n_points": None,  # filled by callers that know the restricted count
+        "window": window_to_config(window),
     }
-    if extra_config:
-        cfg.update(extra_config)
+    cfg.update(extra_config or {})
     return cfg
 
 
@@ -642,26 +614,54 @@ def one_sample_reports(
     for t in kinds:
         if t in (TestKind.TWO_CVM, TestKind.TWO_KS):
             raise ValueError("two-sample kinds are not valid here")
-    obs, lam, lam_den, lam2, s2, warnings = _one_sample_inputs(
-        p, null_lambda, alpha, estimator, window, kernel, bandwidth, clamp
+    integral_weight = integral_weight if integral_weight is not None else IntegralWeight()
+    sup_weight = sup_weight if sup_weight is not None else SupWeight()
+    estimator = EstimatorKind(estimator)
+    eval_window = window if estimator is EstimatorKind.NAIVE else p.window
+    if eval_window is None:
+        raise ValueError("the naive estimator requires an evaluation window")
+    (scaling,), warnings = _checked_scalings(
+        [eval_window], body, alpha, R, bandwidth, kinds, radii, sup_weight
     )
-    vol = obs.window.volume()
+    obs = restrict_pattern(p, eval_window) if estimator is EstimatorKind.NAIVE else p
+    lam = lambda_hat(obs)
+    if len(obs) <= 1:
+        # n <= 1 leaves both lambda2_hat and sigma2_hat without information;
+        # with clamping enabled the denominators fall back to their values
+        # under the hypothesized intensity so the statistic stays finite
+        # (and large, since the curve term keeps its full deviation)
+        if not clamp:
+            raise DegeneratePatternError(
+                "DEGENERATE_PATTERN: one-sample statistics require at least "
+                f"two points in the evaluation window, got {len(obs)}; "
+                "enable clamping to fall back to null-based denominators"
+            )
+        warnings.append(
+            f"DEGENERATE_PATTERN: {len(obs)} point(s); denominators fell "
+            "back to the hypothesized intensity"
+        )
+        lam_den, lam2, s2 = null_lambda, null_lambda**2, max(lam, null_lambda)
+    else:
+        lam_den, lam2 = lam, lambda2_hat(obs)
+        s2 = _clamped_sigma2(obs, kernel, scaling, clamp, warnings)
+    vol = scaling.volume
     delta = scaled_delta(
         p, body, null_lambda, null_k, alpha, R, kind=estimator, window=window
     )
     count_sq = vol * (lam - null_lambda) ** 2 / s2
     d = body.dimension
+    base = _base_config(
+        body, alpha, R, gamma, estimator, eval_window, kernel, scaling, clamp,
+        extra_config,
+    )
+    base["n_points"] = len(obs)
+    base["null"] = {
+        "lambda0": null_lambda,
+        "k0": getattr(null_k, "description", "custom"),
+    }
     reports = {}
     for t in kinds:
-        cfg = _base_config(
-            t, p, body, alpha, R, gamma, estimator, obs.window, kernel,
-            bandwidth, clamp, extra_config,
-        )
-        cfg["n_points"] = len(obs)
-        cfg["null"] = {
-            "lambda0": null_lambda,
-            "k0": getattr(null_k, "description", "custom"),
-        }
+        cfg = {"test": t.value, **base}
         if t is TestKind.CHI2:
             rr = _chi2_radii(radii, R)
             cfg["radii"] = rr.tolist()
@@ -671,18 +671,15 @@ def one_sample_reports(
             stat = float(np.sum(((dvals - prev) / denom) ** 2)) / (lam2 * s2) + count_sq
             c = limit_constant(t, body, n_radii=rr.size)
         elif t is TestKind.CVM:
-            weight = integral_weight if integral_weight is not None else IntegralWeight()
-            cfg["weight_V"] = weight.to_config()
-            stat = _cvm_integral(delta, weight) / (lam2 * s2) + count_sq
-            c = limit_constant(t, body, R=R, weight=weight)
+            cfg["weight_V"] = integral_weight.to_config()
+            stat = _cvm_integral(delta, integral_weight) / (lam2 * s2) + count_sq
+            c = limit_constant(t, body, R=R, weight=integral_weight)
         else:
-            weight = sup_weight if sup_weight is not None else SupWeight()
-            weight.validate_domain(R, d)
-            cfg["weight_v"] = weight.to_config()
-            stat = _ks_sup(delta, weight) / (lam_den * math.sqrt(s2)) + math.sqrt(
+            cfg["weight_v"] = sup_weight.to_config()
+            stat = _ks_sup(delta, sup_weight) / (lam_den * math.sqrt(s2)) + math.sqrt(
                 vol
             ) * abs(lam - null_lambda) / math.sqrt(s2)
-            c = limit_constant(t, body, R=R, weight=weight)
+            c = limit_constant(t, body, R=R, weight=sup_weight)
         reports[t.value] = _finish(t, stat, c, gamma, cfg, list(warnings))
     return reports
 
@@ -770,53 +767,6 @@ def ks_statistic(
 # two-sample statistics
 
 
-def _two_sample_inputs(
-    pa: PointPattern,
-    pb: PointPattern,
-    alpha: float,
-    kernel,
-    bandwidth,
-    clamp: bool,
-):
-    vol_a, vol_b = pa.window.volume(), pb.window.volume()
-    if abs(vol_a - vol_b) > 1e-9 * max(vol_a, vol_b):
-        raise ValueError(
-            f"two-sample tests require equal window volumes, got {vol_a} and {vol_b}"
-        )
-    warnings = []
-    if alpha <= 0.25:
-        warnings.append(
-            "SMALL_ALPHA: alpha <= 1/4 is outside the regime where the "
-            "scaled-domain conditions are verifiable; interpret with care"
-        )
-    sides = []
-    for label, pat in (("a", pa), ("b", pb)):
-        lam = lambda_hat(pat)
-        lam2 = lambda2_hat(pat)
-        s2 = sigma2_hat(pat, kernel=kernel, bandwidth=bandwidth) if len(pat) else 0.0
-        if s2 <= 0.0 and len(pat) > 1:
-            if not clamp:
-                raise NonpositiveVarianceError(
-                    f"NONPOSITIVE_VARIANCE: sigma2_hat({label}) = {s2:.6g}; "
-                    "rerun with clamping enabled"
-                )
-            warnings.append(
-                f"NONPOSITIVE_VARIANCE: sigma2_hat({label}) = {s2:.6g} clamped "
-                "to max(sigma2_hat, lambda_hat)"
-            )
-            s2 = max(s2, lam)
-        sides.append((lam, lam2, s2))
-    (lam_a, lam2_a, s2_a), (lam_b, lam2_b, s2_b) = sides
-    den_curve = lam2_a * s2_a + lam2_b * s2_b
-    den_count = s2_a + s2_b
-    if den_curve <= 0.0 or den_count <= 0.0:
-        raise DegeneratePatternError(
-            "DEGENERATE_PATTERN: two-sample statistics require at least two "
-            "points in at least one pattern"
-        )
-    return sides, den_curve, den_count, warnings
-
-
 def _merged_steps(ka: KEstimate, kb: KEstimate):
     """Breakpoints of both step functions and their difference per piece.
 
@@ -869,45 +819,65 @@ def two_sample_reports(
     estimator = EstimatorKind(estimator)
     if estimator is EstimatorKind.NAIVE:
         raise ValueError("two-sample tests support the ht and border estimators")
-    sides, den_curve, den_count, warnings = _two_sample_inputs(
-        pa, pb, alpha, kernel, bandwidth, clamp
+    vol_a, vol_b = pa.window.volume(), pb.window.volume()
+    if abs(vol_a - vol_b) > 1e-9 * max(vol_a, vol_b):
+        raise ValueError(
+            f"two-sample tests require equal window volumes, got {vol_a} and {vol_b}"
+        )
+    integral_weight = integral_weight if integral_weight is not None else IntegralWeight()
+    sup_weight = sup_weight if sup_weight is not None else SupWeight()
+    scalings, warnings = _checked_scalings(
+        [pa.window, pb.window], body, alpha, R, bandwidth, kinds, None, sup_weight
     )
-    (lam_a, _, _), (lam_b, _, _) = sides
-    ka = _scaled_k(pa, body, alpha, R, estimator, None)
-    kb = _scaled_k(pb, body, alpha, R, estimator, None)
+    sides = []
+    for label, pat, scaling in zip("ab", (pa, pb), scalings):
+        s2 = (
+            _clamped_sigma2(pat, kernel, scaling, clamp, warnings, f"({label})")
+            if len(pat)
+            else 0.0
+        )
+        sides.append((lambda_hat(pat), lambda2_hat(pat), s2))
+    (lam_a, lam2_a, s2_a), (lam_b, lam2_b, s2_b) = sides
+    den_curve = lam2_a * s2_a + lam2_b * s2_b
+    den_count = s2_a + s2_b
+    if den_curve <= 0.0 or den_count <= 0.0:
+        raise DegeneratePatternError(
+            "DEGENERATE_PATTERN: two-sample statistics require at least two "
+            "points in at least one pattern"
+        )
+    ka = _scaled_k(pa, body, R, estimator, None, scalings[0])
+    kb = _scaled_k(pb, body, R, estimator, None, scalings[1])
     t, diff = _merged_steps(ka, kb)
     # symmetric in (a, b) even when the two volumes differ in the last bit
-    vol = 0.5 * (pa.window.volume() + pb.window.volume())
+    vol = 0.5 * (vol_a + vol_b)
     count_sq = vol * (lam_a - lam_b) ** 2 / den_count
     d = body.dimension
+    base = _base_config(
+        body, alpha, R, gamma, estimator, pa.window, kernel, scalings[0], clamp,
+        extra_config,
+    )
+    base["n_points"] = [len(pa), len(pb)]
+    base["window_b"] = window_to_config(pb.window)
     reports = {}
     for kind in kinds:
-        cfg = _base_config(
-            kind, pa, body, alpha, R, gamma, estimator, pa.window, kernel,
-            bandwidth, clamp, extra_config,
-        )
-        cfg["n_points"] = [len(pa), len(pb)]
-        cfg["window_b"] = window_to_config(pb.window)
+        cfg = {"test": kind.value, **base}
         if kind is TestKind.TWO_CVM:
-            weight = integral_weight if integral_weight is not None else IntegralWeight()
-            cfg["weight_V"] = weight.to_config()
-            if weight.kind == "lebesgue":
+            cfg["weight_V"] = integral_weight.to_config()
+            if integral_weight.kind == "lebesgue":
                 masses = np.diff(t)
             else:
-                masses = _piece_masses(t, weight, d)
+                masses = _piece_masses(t, integral_weight, d)
             stat = float(np.sum(diff**2 * masses)) / den_curve + count_sq
-            c = limit_constant(kind, body, R=R, weight=weight)
+            c = limit_constant(kind, body, R=R, weight=integral_weight)
         else:
-            weight = sup_weight if sup_weight is not None else SupWeight()
-            weight.validate_domain(R, d)
-            cfg["weight_v"] = weight.to_config()
+            cfg["weight_v"] = sup_weight.to_config()
             # the difference is piecewise constant and v is non-increasing,
             # so each piece attains its sup at the left endpoint
-            sup = float(np.max(np.abs(diff) * weight.eval(t[:-1]), initial=0.0))
+            sup = float(np.max(np.abs(diff) * sup_weight.eval(t[:-1]), initial=0.0))
             stat = sup / math.sqrt(den_curve) + math.sqrt(vol) * abs(
                 lam_a - lam_b
             ) / math.sqrt(den_count)
-            c = limit_constant(kind, body, R=R, weight=weight)
+            c = limit_constant(kind, body, R=R, weight=sup_weight)
         reports[kind.value] = _finish(kind, stat, c, gamma, cfg, list(warnings))
     return reports
 

@@ -32,7 +32,7 @@ from .estimate import (
     EstimatorKind,
     KernelKind,
     _kernel_support,
-    _require_scaled_domain,
+    _Scaling,
     k_hat,
     lambda2_hat,
     restrict_pattern,
@@ -264,7 +264,6 @@ class _StudyContext:
             model_from_config(cfg.null_model) if cfg.null_model is not None else self.model
         )
         self.body = body_from_config(cfg.body)
-        self.d = self.body.dimension
         self.weight_V = gof.IntegralWeight.from_config(cfg.weight_V or {})
         self.weight_v = gof.SupWeight.from_config(cfg.weight_v or {})
         self.statistics = tuple(gof.TestKind(s) for s in cfg.statistics)
@@ -284,13 +283,10 @@ class _StudyContext:
             self.two_sample = two[0]
             if self.two_sample and estimator is EstimatorKind.NAIVE:
                 raise ValueError("two-sample tests support the ht and border estimators")
-            if gof.TestKind.CHI2 in self.statistics:
-                gof._chi2_radii(self.radii, cfg.R)
-            if gof.TestKind.KS in self.statistics or gof.TestKind.TWO_KS in self.statistics:
-                self.weight_v.validate_domain(cfg.R, self.d)
-            for w in self.windows:
-                _require_scaled_domain(w, self.body, cfg.alpha, cfg.R)
-                _kernel_support(w, cfg.bandwidth)
+            self.scalings, _ = gof._checked_scalings(
+                self.windows, self.body, cfg.alpha, cfg.R, cfg.bandwidth,
+                self.statistics, self.radii, self.weight_v,
+            )
             if not self.two_sample:
                 self.null_lambda = self.null_model.intensity
                 self.null_kfun = k_function(self.null_model, self.body)
@@ -324,6 +320,9 @@ class _StudyContext:
             if not (cfg.scaled_radius > 0):
                 raise ValueError("scaled_radius must be positive")
             self.kfun = k_function(self.model, self.body)
+            self.scalings = [
+                _Scaling.of(w, self.body, cfg.alpha, kernel=False) for w in self.windows
+            ]
 
     # -- replicate kernels -------------------------------------------------
 
@@ -332,9 +331,10 @@ class _StudyContext:
         seed_a = SeedSpec(self.cfg.master_seed, base)
         seed_b = SeedSpec(self.cfg.master_seed, base + 1)
         rep, _ = _KERNELS[self.cfg.study]
-        return rep(self, self.windows[win_idx], seed_a, seed_b)
+        return rep(self, win_idx, seed_a, seed_b)
 
-    def _rep_unbiasedness(self, window, seed, _seed_b) -> np.ndarray:
+    def _rep_unbiasedness(self, w, seed, _seed_b) -> np.ndarray:
+        window = self.windows[w]
         r_max = float(self.radii[-1])
         # the circumradius margin covers plus-sampling for every window shape
         margin = r_max * circumradius(self.body)
@@ -350,24 +350,22 @@ class _StudyContext:
             out.append(k.eval(self.radii))
         return np.concatenate(out)
 
-    def _rep_variance(self, window, seed, _seed_b) -> np.ndarray:
-        pat = simulate(self.model, window, seed)
+    def _rep_variance(self, w, seed, _seed_b) -> np.ndarray:
+        pat = simulate(self.model, self.windows[w], seed)
         r_max = float(self.radii.max())
         if r_max == 0.0:
             return np.zeros(self.radii.size)
         k = k_hat(pat, self.body, r_max, kind=self.cfg.estimator)
         return np.asarray(k.eval(self.radii), dtype=float).reshape(-1)
 
-    def _rep_sigma2(self, window, seed, _seed_b) -> np.ndarray:
-        pat = simulate(self.model, window, seed)
+    def _rep_sigma2(self, w, seed, _seed_b) -> np.ndarray:
+        pat = simulate(self.model, self.windows[w], seed)
         val = sigma2_hat(pat, kernel=self.cfg.kernel, bandwidth=self.cfg.bandwidth)
         return np.array([val])
 
-    def _rep_equivalence(self, window, seed, _seed_b) -> np.ndarray:
-        cfg = self.cfg
-        vol = window.volume()
-        c_alpha = vol ** (cfg.alpha / self.d)
-        u0 = c_alpha * cfg.scaled_radius
+    def _rep_equivalence(self, w, seed, _seed_b) -> np.ndarray:
+        window = self.windows[w]
+        u0 = self.scalings[w].c_alpha * self.cfg.scaled_radius
         margin = u0 * circumradius(self.body)
         pat = simulate(self.model, window.inflate(margin), seed)
         inner = restrict_pattern(pat, window)
@@ -376,8 +374,9 @@ class _StudyContext:
         plug = lambda2_hat(inner) * float(self.kfun(u0))
         return np.array([ht, naive, plug])
 
-    def _rep_statistics(self, window, seed_a, seed_b) -> np.ndarray:
+    def _rep_statistics(self, w, seed_a, seed_b) -> np.ndarray:
         cfg = self.cfg
+        window = self.windows[w]
         if self.two_sample:
             # side b follows the hypothesis model; it defaults to the truth,
             # which gives identically distributed pairs for level studies
@@ -393,8 +392,7 @@ class _StudyContext:
         else:
             est = EstimatorKind(cfg.estimator)
             if est is EstimatorKind.NAIVE:
-                c_alpha = window.volume() ** (cfg.alpha / self.d)
-                margin = c_alpha * cfg.R * circumradius(self.body)
+                margin = self.scalings[w].c_alpha * cfg.R * circumradius(self.body)
                 pat = simulate(self.model, window.inflate(margin), seed_a)
                 win_arg = window
             else:

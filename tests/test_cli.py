@@ -306,6 +306,17 @@ def test_twosample_identical_patterns(files, capsys):
     assert report["decision"] == "ACCEPT"
 
 
+def test_out_of_memory_is_a_clean_error(files, monkeypatch, capsys):
+    message = "Unable to allocate 3.00 GiB for an array with shape (402653184,)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("kscope.gof.ks_statistic", exhausted)
+    assert main(gof_argv(files)) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
 def test_twosample_window_rules(files, capsys):
     # volume mismatch between the two windows
     argv = ["twosample", "--pattern-a", str(files["pa"]), "--pattern-b",

@@ -9,7 +9,7 @@ from kscope.estimate import (
     EstimatorKind,
     KEstimate,
     KernelKind,
-    _require_scaled_domain,
+    _Scaling,
     k_hat,
     lambda2_hat,
     lambda_hat,
@@ -306,7 +306,7 @@ def test_scaled_delta_merges_coinciding_radii(monkeypatch):
     clipped to R, where it must start no piece.
     """
     alpha = 0.5
-    c_alpha = _require_scaled_domain(BOX10, L2, alpha, 0.5)
+    c_alpha = _Scaling.of(BOX10, L2, alpha, 0.5).c_alpha
     R = next(x for x in np.linspace(0.5, 0.7, 1000) if c_alpha * x / c_alpha > x)
     u = c_alpha * R
     r = next(

@@ -11,6 +11,7 @@ from kscope.estimate import (
     EstimatorKind,
     KEstimate,
     ScaledDelta,
+    _Scaling,
     _scaled_k,
     lambda2_hat,
     lambda_hat,
@@ -397,8 +398,8 @@ def _ks_sup_full_grid(delta, weight):
     """Reference sup: the 64-point grid on every piece, then the polish.
 
     Corner candidates first; for a decaying weight the grid runs on all
-    pieces, and the first 64 pieces whose grid maximum reaches
-    ``best (1 - 1e-6)`` are polished by bounded scalar optimization.
+    pieces, and every piece whose grid maximum reaches ``best (1 - 1e-6)``
+    is polished by bounded scalar optimization.
     """
     jumps = delta.empirical.jump_radii
     t = np.concatenate(([0.0], jumps[jumps < delta.R], [delta.R]))
@@ -423,7 +424,7 @@ def _ks_sup_full_grid(delta, weight):
     piece_best = f.max(axis=1)
     best = max(best, float(piece_best.max(initial=0.0)))
     contenders = np.nonzero(piece_best >= best * (1.0 - 1e-6))[0]
-    for k in contenders[:64]:
+    for k in contenders:
         h = float(steps[k])
 
         def neg_sq(r):
@@ -506,7 +507,7 @@ def test_ks_sup_pruned_matches_full_grid(monkeypatch):
 
 def test_ks_sup_pruning_keeps_near_tied_contenders(monkeypatch):
     """Hundreds of pieces tie with the best corner to rounding: every
-    contender survives pruning, so the first 64 polished are the same.
+    contender survives pruning and all of them are polished.
 
     The residual h - theta falls across each piece by about 1e-5 of its
     value, so a bound from the corner at the right end alone would drop
@@ -518,7 +519,7 @@ def test_ks_sup_pruning_keeps_near_tied_contenders(monkeypatch):
     weight = SupWeight("exp_decay", a=a)
     got = _polished_pieces(monkeypatch, _ks_sup, delta, weight)
     want = _polished_pieces(monkeypatch, _ks_sup_full_grid, delta, weight)
-    assert len(want[1]) == 64
+    assert len(want[1]) == 200
     assert got == want
 
 
@@ -764,7 +765,7 @@ def test_merged_steps_match_fresh_sort():
         ka, kb = (
             _scaled_k(
                 PointPattern(lattice[rng.random(len(lattice)) < 0.7], BOX10),
-                L2, 0.5, R, EstimatorKind.HT, None,
+                L2, R, EstimatorKind.HT, None, _Scaling.of(BOX10, L2, 0.5, R),
             )
             for _ in range(2)
         )
@@ -774,6 +775,44 @@ def test_merged_steps_match_fresh_sort():
         assert np.array_equal(diff, ka.eval(t_ref[:-1]) - kb.eval(t_ref[:-1]))
         t_ba, diff_ba = _merged_steps(kb, ka)
         assert np.array_equal(t_ba, t) and np.array_equal(diff_ba, -diff)
+
+
+# ---------------------------------------------------------------------------
+# option checks
+
+
+_BAD_OPTIONS = {
+    "exp_decay_below_d_over_R": ({"sup_weight": SupWeight("exp_decay", a=0.5)}, "a >= d/R"),
+    "chi2_radii_decreasing": ({"tests": ("chi2",), "radii": [0.5, 0.2]}, "strictly increasing"),
+    "scaled_domain": ({"R": 1.0}, "shrink R or alpha"),
+    "kernel_support": ({"bandwidth": 0.6}, "kernel support"),
+}
+
+
+@pytest.mark.parametrize("case,two", [
+    (case, two) for case in sorted(_BAD_OPTIONS) for two in (False, True)
+    if not (two and case.startswith("chi2"))
+])
+def test_bad_options_fail_before_any_pair_search(case, two, monkeypatch):
+    """A bad sup weight, chi2 radii (one-sample only), scaled domain or
+    kernel support raises before sigma2_hat, the K estimate or any pair
+    search runs."""
+    overrides, message = _BAD_OPTIONS[case]
+
+    def reached(*args, **kwargs):
+        raise AssertionError("estimation ran before the option checks")
+
+    for name in ("sigma2_hat", "_scaled_k", "scaled_delta"):
+        monkeypatch.setattr(f"kscope.gof.{name}", reached)
+    monkeypatch.setattr("kscope.estimate.close_pairs", reached)
+    kwargs = dict({"R": 0.5}, **overrides)
+    R = kwargs.pop("R")
+    with pytest.raises(ValueError, match=message):
+        if two:
+            kwargs["tests"] = ("two_ks",)
+            two_sample_reports(grid_pattern(), grid_pattern(), L2, 0.5, R, **kwargs)
+        else:
+            one_sample_reports(grid_pattern(), L2, 1.0, POISSON_K, 0.5, R, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,27 @@ import math
 import numpy as np
 import pytest
 
+from kscope import estimate, gof, mcharness
 from kscope.cli import main
+from kscope.estimate import _Scaling
+from kscope.geometry import (
+    BodyShape,
+    Box,
+    StructuringBody,
+    body_from_config,
+    circumradius,
+    window_from_config,
+)
 from kscope.gof import limit_constant, normal_quantile, TestKind as Kind
 from kscope.mcharness import StudyConfig, StudyReport, run_study
-from kscope.simulate import theoretical_sigma2, theoretical_tau2
+from kscope.simulate import (
+    PoissonModel,
+    SeedSpec,
+    k_function,
+    simulate,
+    theoretical_sigma2,
+    theoretical_tau2,
+)
 
 
 def box(side):
@@ -426,6 +443,60 @@ def test_equivalence_smoke():
     assert names == {
         "decrease_factor.ht_vs_naive", "decrease_factor.ht_vs_plugin",
     }
+
+
+def test_naive_null_level_inflates_by_the_records_margin(monkeypatch):
+    """A naive one-sample study simulates on the rung inflated by
+    c^alpha R circumradius(B), with c^alpha from the rung's scaling record,
+    on a rung where |W|**(alpha / d) is not that c^alpha."""
+    rung = {"shape": "box", "bounds": [[0.0, 0.0], [6.0, 16.0]]}
+    window, body = window_from_config(rung), body_from_config(L2_BODY)
+    alpha, R = 0.45, 0.5
+    scaling = _Scaling.of(window, body, alpha, R)
+    assert scaling.c_alpha != window.volume() ** (alpha / 2)
+    simulated = []
+    original = mcharness.simulate
+
+    def recording(model, w, seed):
+        simulated.append(w)
+        return original(model, w, seed)
+
+    monkeypatch.setattr(mcharness, "simulate", recording)
+    rep = run_study(dict(
+        study="null_level", model=POISSON1, windows=[rung], body=L2_BODY,
+        replicates=20, master_seed=11, alpha=alpha, R=R,
+        statistics=["ks", "cvm", "chi2"], estimator="naive",
+    ))
+    assert rep.replicates == 20 and len(rep.windows) == 1
+    want = window.inflate(scaling.c_alpha * R * circumradius(body))
+    assert len(simulated) == 20
+    for w in simulated:
+        assert np.array_equal(w.lower, want.lower)
+        assert np.array_equal(w.upper, want.upper)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.3])
+def test_report_bandwidth_times_c_is_the_searched_support(bandwidth, monkeypatch):
+    """A report's echoed bandwidth times c is the radius sigma2_hat searched."""
+    searched = []
+    original = estimate.close_pairs
+
+    def recording(points, body, r_max):
+        searched.append((body.shape, r_max))
+        return original(points, body, r_max)
+
+    monkeypatch.setattr(estimate, "close_pairs", recording)
+    window = Box([0.0, 0.0], [12.0, 12.0])
+    linf = StructuringBody(2, BodyShape.LINF_BALL)
+    p = simulate(PoissonModel(1.0), window, SeedSpec(5, 0))
+    rep = gof.ks_statistic(
+        p, linf, 1.0, k_function(PoissonModel(1.0), linf), 0.5, 0.5,
+        bandwidth=bandwidth,
+    )
+    c = _Scaling.of(window, linf, 0.5, 0.5, bandwidth).c
+    assert [r for shape, r in searched if shape is BodyShape.L2_BALL] == [
+        rep.config["bandwidth"] * c
+    ]
 
 
 # -- report formats ---------------------------------------------------------
