@@ -91,34 +91,13 @@ def _parse_ball(text: str, dimension: int) -> StructuringBody:
     return StructuringBody(dimension, shape, scale)
 
 
-def _parse_weight_V(text: str | None) -> gof.IntegralWeight:
+def _parse_weight(text: str | None, cls):
+    """``name[:param]`` as a weight of type cls, which checks it; None
+    leaves the library default."""
     if text is None:
-        return gof.IntegralWeight()
+        return None
     name, _, param = text.partition(":")
-    if name == "lebesgue":
-        if param:
-            raise _CliError("lebesgue weight takes no parameter")
-        return gof.IntegralWeight()
-    if name == "exp_density":
-        if not param:
-            raise _CliError("exp_density weight needs a rate: exp_density:b")
-        return gof.IntegralWeight("exp_density", float(param))
-    raise _CliError(f"unknown integral weight {name!r}")
-
-
-def _parse_weight_v(text: str | None) -> gof.SupWeight:
-    if text is None:
-        return gof.SupWeight()
-    name, _, param = text.partition(":")
-    if name == "const_one":
-        if param:
-            raise _CliError("const_one weight takes no parameter")
-        return gof.SupWeight()
-    if name == "exp_decay":
-        if not param:
-            raise _CliError("exp_decay weight needs a rate: exp_decay:a")
-        return gof.SupWeight("exp_decay", float(param))
-    raise _CliError(f"unknown sup weight {name!r}")
+    return cls(name, float(param) if param else None)
 
 
 def _utc_now() -> str:
@@ -199,15 +178,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_kfun(args) -> int:
     window = _parse_window(args.window)
     body = _parse_ball(args.ball, window.dimension)
-    if args.pattern_window is not None:
-        pattern_window = _parse_window(args.pattern_window)
-    else:
-        pattern_window = window
+    pattern_window = _parse_window(args.pattern_window or args.window)
     pattern = load_pattern(args.pattern, pattern_window)
-    if args.estimator == "naive":
-        estimate = k_hat(pattern, body, args.rmax, kind="naive", window=window)
-    else:
-        estimate = k_hat(pattern, body, args.rmax, kind=args.estimator)
+    estimate = k_hat(
+        pattern, body, args.rmax, kind=args.estimator,
+        window=window if args.estimator == "naive" else None,
+    )
     out = Path(args.out)
     estimate.to_csv(out)
     meta = {
@@ -240,13 +216,24 @@ def _finish_report(report, args) -> int:
     return 0
 
 
+def _test_kwargs(args, extra: dict) -> dict:
+    """Keyword options of a report call, shared by gof and twosample."""
+    return dict(
+        gamma=args.gamma,
+        integral_weight=_parse_weight(args.weight_V, gof.IntegralWeight),
+        sup_weight=_parse_weight(args.weight_v, gof.SupWeight),
+        estimator=args.estimator,
+        kernel=args.kernel,
+        bandwidth=args.bandwidth,
+        clamp=args.clamp,
+        extra_config=extra,
+    )
+
+
 def _cmd_gof(args) -> int:
     window = _parse_window(args.window)
     body = _parse_ball(args.ball, window.dimension)
-    if args.pattern_window is not None:
-        pattern_window = _parse_window(args.pattern_window)
-    else:
-        pattern_window = window
+    pattern_window = _parse_window(args.pattern_window or args.window)
     pattern = load_pattern(args.pattern, pattern_window)
     if args.lambda0 is None:
         raise _CliError("--lambda0 is required (the null intensity is known)")
@@ -259,33 +246,13 @@ def _cmd_gof(args) -> int:
     radii = None
     if args.radii:
         radii = [float(v) for v in args.radii.split(",")]
-    extra = {"inputs": {"pattern_path": str(args.pattern)}}
-    kwargs = dict(
-        gamma=args.gamma,
-        estimator=args.estimator,
-        kernel=args.kernel,
-        bandwidth=args.bandwidth,
-        clamp=args.clamp,
-        extra_config=extra,
+    reports = gof.one_sample_reports(
+        pattern, body, args.lambda0, null_k, args.alpha, args.R,
+        tests=(args.stat,), radii=radii,
+        window=window if args.estimator == "naive" else None,
+        **_test_kwargs(args, {"inputs": {"pattern_path": str(args.pattern)}}),
     )
-    if args.estimator == "naive":
-        kwargs["window"] = window
-    if args.stat == "ks":
-        report = gof.ks_statistic(
-            pattern, body, args.lambda0, null_k, args.alpha, args.R,
-            weight=_parse_weight_v(args.weight_v), **kwargs,
-        )
-    elif args.stat == "cvm":
-        report = gof.cvm_statistic(
-            pattern, body, args.lambda0, null_k, args.alpha, args.R,
-            weight=_parse_weight_V(args.weight_V), **kwargs,
-        )
-    else:
-        report = gof.chi2_statistic(
-            pattern, body, args.lambda0, null_k, args.alpha, args.R,
-            radii=radii, **kwargs,
-        )
-    return _finish_report(report, args)
+    return _finish_report(reports[args.stat], args)
 
 
 def _cmd_twosample(args) -> int:
@@ -297,25 +264,11 @@ def _cmd_twosample(args) -> int:
     extra = {"inputs": {
         "pattern_a": str(args.pattern_a), "pattern_b": str(args.pattern_b),
     }}
-    kwargs = dict(
-        gamma=args.gamma,
-        estimator=args.estimator,
-        kernel=args.kernel,
-        bandwidth=args.bandwidth,
-        clamp=args.clamp,
-        extra_config=extra,
+    test = f"two_{args.stat}"
+    reports = gof.two_sample_reports(
+        pa, pb, body, args.alpha, args.R, tests=(test,), **_test_kwargs(args, extra),
     )
-    if args.stat == "ks":
-        report = gof.two_sample_ks(
-            pa, pb, body, args.alpha, args.R,
-            weight=_parse_weight_v(args.weight_v), **kwargs,
-        )
-    else:
-        report = gof.two_sample_cvm(
-            pa, pb, body, args.alpha, args.R,
-            weight=_parse_weight_V(args.weight_V), **kwargs,
-        )
-    return _finish_report(report, args)
+    return _finish_report(reports[test], args)
 
 
 def _cmd_mc(args) -> int:
@@ -467,9 +420,6 @@ def main(argv=None) -> int:
             if args.window is None and (args.window_a is None or args.window_b is None):
                 raise _CliError("provide --window or both --window-a/--window-b")
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

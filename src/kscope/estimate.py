@@ -499,6 +499,11 @@ def _scaled_k(
     )
 
 
+def _require_null_lambda(null_lambda: float):
+    if not (null_lambda > 0) or not math.isfinite(null_lambda):
+        raise ValueError("null_lambda must be a positive finite float")
+
+
 def scaled_delta(
     p: PointPattern,
     body: StructuringBody,
@@ -536,8 +541,7 @@ def scaled_delta(
     largest query stays well inside the window; this is the regime where
     the edge-correction inequalities keep all remainder terms small.
     """
-    if not (null_lambda > 0) or not math.isfinite(null_lambda):
-        raise ValueError("null_lambda must be a positive finite float")
+    _require_null_lambda(null_lambda)
     # k_hat rejects a window given to, or missing for, the wrong estimator
     eval_window = p.window if window is None else window
     scaling = _Scaling.of(eval_window, body, alpha, R, kernel=False)

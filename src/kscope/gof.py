@@ -44,6 +44,7 @@ from .estimate import (
     KEstimate,
     KernelKind,
     ScaledDelta,
+    _require_null_lambda,
     _run_ends,
     _Scaling,
     _scaled_k,
@@ -95,6 +96,7 @@ class TestKind(str, Enum):
 
 
 _CHI2_FAMILY = {TestKind.CHI2, TestKind.CVM, TestKind.TWO_CVM}
+_TWO_SAMPLE = {TestKind.TWO_CVM, TestKind.TWO_KS}
 
 CHI2_1 = "SCALED_CHI2_1"
 HALF_NORMAL = "SCALED_HALF_NORMAL"
@@ -335,12 +337,23 @@ class TestReport:
         )
 
 
-def _finish(kind: TestKind, statistic: float, c: float, gamma: float,
-            config: dict, warnings: list) -> TestReport:
+def _require_gamma(gamma: float):
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly between 0 and 1")
+
+
+def _threshold(kind: TestKind, c: float, gamma: float) -> float:
+    """Rejection threshold ``c z^2`` (chi-squared family) or ``c z``
+    (half-normal family), with z the normal quantile at 1 - gamma/2."""
     z = normal_quantile(1.0 - gamma / 2.0)
-    threshold = c * z * z if kind in _CHI2_FAMILY else c * z
+    return c * z * z if kind in _CHI2_FAMILY else c * z
+
+
+def _finish(kind: TestKind, statistic: float, cal: _Calibration, gamma: float,
+            base: dict, warnings: list) -> TestReport:
+    """Report of one kind from its statistic and its resolved calibration."""
+    c = cal.limit_constant
+    threshold = _threshold(kind, c, gamma)
     pv = p_value(statistic, c, _family(kind))
     return TestReport(
         test=kind.value,
@@ -351,8 +364,8 @@ def _finish(kind: TestKind, statistic: float, c: float, gamma: float,
         threshold=float(threshold),
         p_value=float(pv),
         decision="REJECT" if statistic > threshold else "ACCEPT",
-        config=config,
-        warnings=warnings,
+        config={"test": kind.value, **base, **cal.echo},
+        warnings=list(warnings),
     )
 
 
@@ -509,27 +522,57 @@ def _ks_sup(delta: ScaledDelta, weight: SupWeight) -> float:
 # one-sample statistics
 
 
-def _checked_scalings(
-    windows, body, alpha, R, bandwidth, kinds, radii, sup_weight
-) -> tuple[list, list]:
-    """Scaling record of each evaluation window, and the starting warnings.
+@dataclass(frozen=True)
+class _Calibration:
+    """A requested test kind resolved before estimation: the ``option``
+    its statistic reads (the chi2 radii or the weight), that option's
+    report ``echo`` and the ``limit_constant`` of its limit law."""
 
-    Every check on the test options runs here, before any pair search:
-    the chi2 radii, the sup weight's domain and each record's
-    scaled-domain and kernel checks.  Studies run it once per ladder.
+    option: object
+    echo: dict
+    limit_constant: float
+
+
+def _checked_options(
+    windows, body, alpha, R, bandwidth, gamma, kinds, radii, integral_weight,
+    sup_weight, estimator,
+) -> tuple[list, dict, list]:
+    """Scaling record of each evaluation window, the :class:`_Calibration`
+    of each requested kind, and the starting warnings.
+
+    Every check on the test options runs here, before any pair search,
+    in this order: gamma in (0, 1); per window, :meth:`_Scaling.of`'s
+    alpha, R, scaled-domain and kernel-support checks; per kind, the
+    estimator (two-sample kinds take ht or border), the chi2 radii
+    (:func:`_chi2_radii`), then the weight's type and the sup weight's
+    domain (:func:`limit_constant`).  Studies run it once per ladder.
     """
-    if TestKind.CHI2 in kinds:
-        _chi2_radii(radii, R)
-    if TestKind.KS in kinds or TestKind.TWO_KS in kinds:
-        sup_weight.validate_domain(R, body.dimension)
+    _require_gamma(gamma)
     scalings = [_Scaling.of(w, body, alpha, R, bandwidth) for w in windows]
+    calibrations = {}
+    for kind in kinds:
+        if kind in _TWO_SAMPLE and estimator is EstimatorKind.NAIVE:
+            raise ValueError("two-sample tests support the ht and border estimators")
+        n_radii = None
+        if kind is TestKind.CHI2:
+            option = _chi2_radii(radii, R)
+            n_radii, echo = option.size, {"radii": option.tolist()}
+        elif kind in (TestKind.CVM, TestKind.TWO_CVM):
+            option = integral_weight if integral_weight is not None else IntegralWeight()
+            echo = {"weight_V": option.to_config()}
+        else:
+            option = sup_weight if sup_weight is not None else SupWeight()
+            echo = {"weight_v": option.to_config()}
+        # chi2's constant reads only n_radii, the others only R and the weight
+        c = limit_constant(kind, body, R, weight=option, n_radii=n_radii)
+        calibrations[kind] = _Calibration(option, echo, c)
     warnings = []
     if alpha <= 0.25:
         warnings.append(
             "SMALL_ALPHA: alpha <= 1/4 is outside the regime where the "
             "scaled-domain conditions are verifiable; interpret with care"
         )
-    return scalings, warnings
+    return scalings, calibrations, warnings
 
 
 def _clamped_sigma2(pat, kernel, scaling, clamp, warnings, label="") -> float:
@@ -611,17 +654,16 @@ def one_sample_reports(
     than one of them.
     """
     kinds = [TestKind(t) for t in tests]
-    for t in kinds:
-        if t in (TestKind.TWO_CVM, TestKind.TWO_KS):
-            raise ValueError("two-sample kinds are not valid here")
-    integral_weight = integral_weight if integral_weight is not None else IntegralWeight()
-    sup_weight = sup_weight if sup_weight is not None else SupWeight()
+    if any(t in _TWO_SAMPLE for t in kinds):
+        raise ValueError("two-sample kinds are not valid here")
     estimator = EstimatorKind(estimator)
     eval_window = window if estimator is EstimatorKind.NAIVE else p.window
     if eval_window is None:
         raise ValueError("the naive estimator requires an evaluation window")
-    (scaling,), warnings = _checked_scalings(
-        [eval_window], body, alpha, R, bandwidth, kinds, radii, sup_weight
+    _require_null_lambda(null_lambda)
+    (scaling,), calibrations, warnings = _checked_options(
+        [eval_window], body, alpha, R, bandwidth, gamma, kinds, radii,
+        integral_weight, sup_weight, estimator,
     )
     obs = restrict_pattern(p, eval_window) if estimator is EstimatorKind.NAIVE else p
     lam = lambda_hat(obs)
@@ -660,27 +702,20 @@ def one_sample_reports(
         "k0": getattr(null_k, "description", "custom"),
     }
     reports = {}
-    for t in kinds:
-        cfg = {"test": t.value, **base}
+    for t, cal in calibrations.items():
         if t is TestKind.CHI2:
-            rr = _chi2_radii(radii, R)
-            cfg["radii"] = rr.tolist()
+            rr = cal.option
             dvals = delta.eval(rr)
             prev = np.concatenate(([0.0], dvals[:-1]))
             denom = rr**d - np.concatenate(([0.0], rr[:-1])) ** d
             stat = float(np.sum(((dvals - prev) / denom) ** 2)) / (lam2 * s2) + count_sq
-            c = limit_constant(t, body, n_radii=rr.size)
         elif t is TestKind.CVM:
-            cfg["weight_V"] = integral_weight.to_config()
-            stat = _cvm_integral(delta, integral_weight) / (lam2 * s2) + count_sq
-            c = limit_constant(t, body, R=R, weight=integral_weight)
+            stat = _cvm_integral(delta, cal.option) / (lam2 * s2) + count_sq
         else:
-            cfg["weight_v"] = sup_weight.to_config()
-            stat = _ks_sup(delta, sup_weight) / (lam_den * math.sqrt(s2)) + math.sqrt(
+            stat = _ks_sup(delta, cal.option) / (lam_den * math.sqrt(s2)) + math.sqrt(
                 vol
             ) * abs(lam - null_lambda) / math.sqrt(s2)
-            c = limit_constant(t, body, R=R, weight=sup_weight)
-        reports[t.value] = _finish(t, stat, c, gamma, cfg, list(warnings))
+        reports[t.value] = _finish(t, stat, cal, gamma, base, warnings)
     return reports
 
 
@@ -813,21 +848,17 @@ def two_sample_reports(
     the two empirical estimates are compared directly.
     """
     kinds = [TestKind(t) for t in tests]
-    for t in kinds:
-        if t not in (TestKind.TWO_CVM, TestKind.TWO_KS):
-            raise ValueError("only two-sample kinds are valid here")
+    if not all(t in _TWO_SAMPLE for t in kinds):
+        raise ValueError("only two-sample kinds are valid here")
     estimator = EstimatorKind(estimator)
-    if estimator is EstimatorKind.NAIVE:
-        raise ValueError("two-sample tests support the ht and border estimators")
     vol_a, vol_b = pa.window.volume(), pb.window.volume()
     if abs(vol_a - vol_b) > 1e-9 * max(vol_a, vol_b):
         raise ValueError(
             f"two-sample tests require equal window volumes, got {vol_a} and {vol_b}"
         )
-    integral_weight = integral_weight if integral_weight is not None else IntegralWeight()
-    sup_weight = sup_weight if sup_weight is not None else SupWeight()
-    scalings, warnings = _checked_scalings(
-        [pa.window, pb.window], body, alpha, R, bandwidth, kinds, None, sup_weight
+    scalings, calibrations, warnings = _checked_options(
+        [pa.window, pb.window], body, alpha, R, bandwidth, gamma, kinds, None,
+        integral_weight, sup_weight, estimator,
     )
     sides = []
     for label, pat, scaling in zip("ab", (pa, pb), scalings):
@@ -859,26 +890,21 @@ def two_sample_reports(
     base["n_points"] = [len(pa), len(pb)]
     base["window_b"] = window_to_config(pb.window)
     reports = {}
-    for kind in kinds:
-        cfg = {"test": kind.value, **base}
+    for kind, cal in calibrations.items():
         if kind is TestKind.TWO_CVM:
-            cfg["weight_V"] = integral_weight.to_config()
-            if integral_weight.kind == "lebesgue":
+            if cal.option.kind == "lebesgue":
                 masses = np.diff(t)
             else:
-                masses = _piece_masses(t, integral_weight, d)
+                masses = _piece_masses(t, cal.option, d)
             stat = float(np.sum(diff**2 * masses)) / den_curve + count_sq
-            c = limit_constant(kind, body, R=R, weight=integral_weight)
         else:
-            cfg["weight_v"] = sup_weight.to_config()
             # the difference is piecewise constant and v is non-increasing,
             # so each piece attains its sup at the left endpoint
-            sup = float(np.max(np.abs(diff) * sup_weight.eval(t[:-1]), initial=0.0))
+            sup = float(np.max(np.abs(diff) * cal.option.eval(t[:-1]), initial=0.0))
             stat = sup / math.sqrt(den_curve) + math.sqrt(vol) * abs(
                 lam_a - lam_b
             ) / math.sqrt(den_count)
-            c = limit_constant(kind, body, R=R, weight=sup_weight)
-        reports[kind.value] = _finish(kind, stat, c, gamma, cfg, list(warnings))
+        reports[kind.value] = _finish(kind, stat, cal, gamma, base, warnings)
     return reports
 
 

@@ -58,7 +58,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _TEST_STUDIES = ("null_level", "power", "limit_law")
-_TWO_SAMPLE = (gof.TestKind.TWO_KS, gof.TestKind.TWO_CVM)
 
 
 def _fsum_mean(values) -> float:
@@ -123,8 +122,7 @@ class StudyConfig:
             raise ValueError("at least one window is required")
         if not (0.0 < self.alpha <= 0.5):
             raise ValueError("alpha must lie in (0, 1/2]")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie strictly between 0 and 1")
+        gof._require_gamma(self.gamma)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not (self.limit_constant_scale > 0):
@@ -273,7 +271,7 @@ class _StudyContext:
         self.radii = None if cfg.radii is None else np.asarray(cfg.radii, dtype=float)
         kind = cfg.study
         if kind in _TEST_STUDIES:
-            two = [s in _TWO_SAMPLE for s in self.statistics]
+            two = [s in gof._TWO_SAMPLE for s in self.statistics]
             if not two:
                 raise ValueError("at least one statistic is required")
             if any(two) and not all(two):
@@ -281,11 +279,9 @@ class _StudyContext:
                     "statistics must be all one-sample or all two-sample"
                 )
             self.two_sample = two[0]
-            if self.two_sample and estimator is EstimatorKind.NAIVE:
-                raise ValueError("two-sample tests support the ht and border estimators")
-            self.scalings, _ = gof._checked_scalings(
-                self.windows, self.body, cfg.alpha, cfg.R, cfg.bandwidth,
-                self.statistics, self.radii, self.weight_v,
+            self.scalings, self.calibrations, _ = gof._checked_options(
+                self.windows, self.body, cfg.alpha, cfg.R, cfg.bandwidth, cfg.gamma,
+                self.statistics, self.radii, self.weight_V, self.weight_v, estimator,
             )
             if not self.two_sample:
                 self.null_lambda = self.null_model.intensity
@@ -544,7 +540,6 @@ class _StudyContext:
 
     def _agg_statistics(self, per_window):
         cfg = self.cfg
-        z = gof.normal_quantile(1.0 - cfg.gamma / 2.0)
         windows = []
         rates = {s: [] for s in self.statistics}
         dists = {s: [] for s in self.statistics}
@@ -552,11 +547,10 @@ class _StudyContext:
             metrics = {}
             for s_idx, stat in enumerate(self.statistics):
                 col = vals[:, s_idx]
-                c = self._limit_const(stat) * cfg.limit_constant_scale
-                chi2 = stat in gof._CHI2_FAMILY
-                threshold = c * z * z if chi2 else c * z
+                c = self.calibrations[stat].limit_constant * cfg.limit_constant_scale
+                threshold = gof._threshold(stat, c, cfg.gamma)
                 rate = _fsum_mean([1.0 if v > threshold else 0.0 for v in col.tolist()])
-                dist = _ks_distance(col / c, chi2)
+                dist = _ks_distance(col / c, gof._family(stat))
                 rates[stat].append(rate)
                 dists[stat].append(dist)
                 n = col.size
@@ -598,15 +592,6 @@ class _StudyContext:
                 ))
         return windows, checks
 
-    def _limit_const(self, stat: gof.TestKind) -> float:
-        cfg = self.cfg
-        if stat is gof.TestKind.CHI2:
-            k = self.radii.size if self.radii is not None else 5
-            return gof.limit_constant(stat, self.body, n_radii=k)
-        if stat in (gof.TestKind.CVM, gof.TestKind.TWO_CVM):
-            return gof.limit_constant(stat, self.body, R=cfg.R, weight=self.weight_V)
-        return gof.limit_constant(stat, self.body, R=cfg.R, weight=self.weight_v)
-
 
 # study kind -> (replicate, aggregate) methods of _StudyContext
 _KERNELS = {
@@ -623,10 +608,10 @@ _KERNELS = {
 STUDY_KINDS = tuple(_KERNELS)
 
 
-def _ks_distance(normalized: np.ndarray, chi2_family: bool) -> float:
+def _ks_distance(normalized: np.ndarray, family: str) -> float:
     """Sup distance between the sample ECDF and the limit CDF."""
     v = np.sort(np.asarray(normalized, dtype=float))
-    x = np.sqrt(np.maximum(v, 0.0)) if chi2_family else np.maximum(v, 0.0)
+    x = np.sqrt(np.maximum(v, 0.0)) if family == gof.CHI2_1 else np.maximum(v, 0.0)
     F = 2.0 * np.asarray(gof.normal_cdf(x)) - 1.0
     n = v.size
     i = np.arange(1, n + 1)

@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from kscope import gof
 from kscope.cli import main
 from kscope.pattern import load_pattern
-from kscope.geometry import Box
+from kscope.geometry import BodyShape, Box, StructuringBody
+from kscope.simulate import PoissonModel, k_function
 
 BOX12 = "box:0,0,12,12"
 BOX10 = "box:0,0,10,10"
@@ -283,7 +285,59 @@ def test_gof_weight_flags(files, capsys):
                                                "exp_density"]) == 1
 
 
+def test_unused_weight_flag_is_still_checked(files, capsys):
+    # every weight flag given is parsed, whichever one --stat reads
+    assert main(gof_argv(files) + ["--weight-V", "bogus"]) == 1
+    assert "unknown integral weight" in capsys.readouterr().err
+    assert main(gof_argv(files, stat="cvm") + ["--weight-v", "exp_decay"]) == 1
+    assert "exp_decay requires" in capsys.readouterr().err
+
+
+L2_BALL = StructuringBody(2, BodyShape.L2_BALL, 1.0)
+EXP_DECAY = (["--weight-v", "exp_decay:8"], {"sup_weight": gof.SupWeight("exp_decay", 8.0)})
+EXP_DENSITY = (
+    ["--weight-V", "exp_density:1"],
+    {"integral_weight": gof.IntegralWeight("exp_density", 1.0)},
+)
+
+
+@pytest.mark.parametrize("stat,flags,kwargs", [
+    ("ks", *EXP_DECAY),
+    ("cvm", *EXP_DENSITY),
+    ("chi2", ["--radii", "0.2,0.4"], {"radii": [0.2, 0.4]}),
+])
+def test_gof_report_equals_library_report(files, tmp_path, stat, flags, kwargs):
+    out = tmp_path / "report.json"
+    assert main(gof_argv(files, stat=stat, out=str(out)) + flags) == 0
+    pattern = load_pattern(files["pat12"], Box([0, 0], [12, 12]))
+    reports = gof.one_sample_reports(
+        pattern, L2_BALL, 1.0, k_function(PoissonModel(1.0), L2_BALL), 0.5, 0.5,
+        tests=(stat,), extra_config={"inputs": {"pattern_path": str(files["pat12"])}},
+        **kwargs,
+    )
+    assert out.read_text(encoding="utf-8") == reports[stat].to_json()
+
+
 # -- twosample ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stat,flags,kwargs", [("ks", *EXP_DECAY), ("cvm", *EXP_DENSITY)])
+def test_twosample_report_equals_library_report(files, tmp_path, stat, flags, kwargs):
+    out = tmp_path / "report.json"
+    argv = ["twosample", "--pattern-a", str(files["pa"]), "--pattern-b",
+            str(files["pb"]), "--window", BOX10, "--stat", stat, "--R", "0.5",
+            "--out", str(out)]
+    assert main(argv + flags) == 0
+    box = Box([0, 0], [10, 10])
+    reports = gof.two_sample_reports(
+        load_pattern(files["pa"], box), load_pattern(files["pb"], box),
+        L2_BALL, 0.5, 0.5, tests=(f"two_{stat}",),
+        extra_config={"inputs": {
+            "pattern_a": str(files["pa"]), "pattern_b": str(files["pb"]),
+        }},
+        **kwargs,
+    )
+    assert out.read_text(encoding="utf-8") == reports[f"two_{stat}"].to_json()
 
 
 def test_twosample_basic(files, capsys):
@@ -312,7 +366,7 @@ def test_out_of_memory_is_a_clean_error(files, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("kscope.gof.ks_statistic", exhausted)
+    monkeypatch.setattr("kscope.gof.one_sample_reports", exhausted)
     assert main(gof_argv(files)) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 

@@ -786,17 +786,21 @@ _BAD_OPTIONS = {
     "chi2_radii_decreasing": ({"tests": ("chi2",), "radii": [0.5, 0.2]}, "strictly increasing"),
     "scaled_domain": ({"R": 1.0}, "shrink R or alpha"),
     "kernel_support": ({"bandwidth": 0.6}, "kernel support"),
+    "gamma_zero": ({"gamma": 0.0}, "gamma must lie"),
+    "gamma_one": ({"gamma": 1.0}, "gamma must lie"),
+    "null_lambda_zero": ({"null_lambda": 0.0}, "null_lambda must be"),
+    "null_lambda_nan": ({"null_lambda": float("nan")}, "null_lambda must be"),
 }
 
 
 @pytest.mark.parametrize("case,two", [
     (case, two) for case in sorted(_BAD_OPTIONS) for two in (False, True)
-    if not (two and case.startswith("chi2"))
+    if not (two and case.startswith(("chi2", "null_lambda")))
 ])
 def test_bad_options_fail_before_any_pair_search(case, two, monkeypatch):
-    """A bad sup weight, chi2 radii (one-sample only), scaled domain or
-    kernel support raises before sigma2_hat, the K estimate or any pair
-    search runs."""
+    """A bad sup weight, gamma, chi2 radii or null intensity (one-sample
+    only), scaled domain or kernel support raises before sigma2_hat, the
+    K estimate or any pair search runs."""
     overrides, message = _BAD_OPTIONS[case]
 
     def reached(*args, **kwargs):
@@ -807,12 +811,13 @@ def test_bad_options_fail_before_any_pair_search(case, two, monkeypatch):
     monkeypatch.setattr("kscope.estimate.close_pairs", reached)
     kwargs = dict({"R": 0.5}, **overrides)
     R = kwargs.pop("R")
+    null_lambda = kwargs.pop("null_lambda", 1.0)
     with pytest.raises(ValueError, match=message):
         if two:
             kwargs["tests"] = ("two_ks",)
             two_sample_reports(grid_pattern(), grid_pattern(), L2, 0.5, R, **kwargs)
         else:
-            one_sample_reports(grid_pattern(), L2, 1.0, POISSON_K, 0.5, R, **kwargs)
+            one_sample_reports(grid_pattern(), L2, null_lambda, POISSON_K, 0.5, R, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,39 @@ def test_null_level_metrics_and_threshold():
     assert rep.passed
 
 
+@pytest.mark.parametrize("statistics", [("chi2", "ks", "cvm"), ("two_ks", "two_cvm")])
+def test_study_thresholds_are_the_reports(statistics):
+    """Each window's threshold equals the one a report call gives for a
+    replicate of it; chi2 runs with its default radii."""
+    cfg = base_config(
+        study="null_level", replicates=2, windows=(box(10), box(12)), R=0.5,
+        radii=None, estimators=("ht",), statistics=statistics,
+        weight_v={"kind": "exp_decay", "a": 8.0},
+        weight_V={"kind": "exp_density", "b": 1.0},
+        tolerances={"level_low": -1.0, "level_high": 1.0},
+    )
+    rep = run_study(cfg)
+    body = body_from_config(L2_BODY)
+    kwargs = dict(
+        tests=statistics, clamp=True,
+        integral_weight=gof.IntegralWeight("exp_density", 1.0),
+        sup_weight=gof.SupWeight("exp_decay", 8.0),
+    )
+    for w, entry in enumerate(rep.windows):
+        window = window_from_config(cfg.windows[w])
+        stream = 2 * w * cfg.replicates
+        pa = simulate(PoissonModel(1.0), window, SeedSpec(cfg.master_seed, stream))
+        if statistics[0].startswith("two_"):
+            pb = simulate(PoissonModel(1.0), window, SeedSpec(cfg.master_seed, stream + 1))
+            reports = gof.two_sample_reports(pa, pb, body, 0.5, 0.5, **kwargs)
+        else:
+            reports = gof.one_sample_reports(
+                pa, body, 1.0, k_function(PoissonModel(1.0), body), 0.5, 0.5, **kwargs
+            )
+        for stat in statistics:
+            assert entry["metrics"][f"{stat}.threshold"] == reports[stat].threshold
+
+
 def test_two_sample_power_smoke():
     rep = run_study(base_config(
         study="power", replicates=30, windows=(box(8), box(10)), R=0.5,
