@@ -115,7 +115,8 @@ class KEstimate:
         r = np.asarray(r, dtype=float)
         single = r.ndim == 0
         rr = np.atleast_1d(r)
-        if rr.size and (rr.min() < 0.0 or rr.max() > self.r_max * (1.0 + 1e-12)):
+        # written so that a NaN radius fails
+        if rr.size and not (rr.min() >= 0.0 and rr.max() <= self.r_max * (1.0 + 1e-12)):
             raise ValueError(
                 f"evaluation radius outside [0, {self.r_max}]"
             )

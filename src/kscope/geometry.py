@@ -17,7 +17,7 @@ compare them against brute-force oracles at tight tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -455,3 +455,26 @@ def body_from_config(cfg: dict) -> StructuringBody:
         )
     except (TypeError, KeyError) as exc:
         raise ValueError("body config must carry 'shape' and 'dim'") from exc
+
+
+def _config_kwargs(cls, cfg, what: str, skip=("schema_version",), renames=()) -> dict:
+    """Keyword arguments of the dataclass ``cls`` read from the dict ``cfg``.
+
+    The keys are exactly the field names, but for the ``skip`` keys, which
+    are ignored, and each ``(key, name)`` of ``renames``, which reads field
+    ``name`` under ``key``.  An unknown key, or a missing one whose field
+    has no default, raises ValueError naming it.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a dict")
+    by_key = {f.name: f for f in fields(cls)}
+    for key, name in renames:
+        by_key[key] = by_key.pop(name)
+    unknown = sorted(set(cfg) - set(by_key) - set(skip))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = [k for k, f in by_key.items() if k not in cfg and f.default is MISSING
+               and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    return {f.name: cfg[key] for key, f in by_key.items() if key in cfg}

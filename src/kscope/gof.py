@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -58,6 +58,7 @@ from .estimate import (
 from .geometry import (
     ObservationWindow,
     StructuringBody,
+    _config_kwargs,
     body_to_config,
     body_volume,
     window_to_config,
@@ -171,14 +172,11 @@ class IntegralWeight:
         return val
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.b is not None:
-            cfg["b"] = self.b
-        return cfg
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @staticmethod
     def from_config(cfg: dict) -> "IntegralWeight":
-        return IntegralWeight(kind=cfg.get("kind", "lebesgue"), b=cfg.get("b"))
+        return IntegralWeight(**_config_kwargs(IntegralWeight, cfg, "integral weight", ()))
 
 
 @dataclass(frozen=True)
@@ -221,15 +219,11 @@ class SupWeight:
         return r_star**d * math.exp(-self.a * r_star)
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.a is not None:
-            cfg["a"] = self.a
-        return cfg
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @staticmethod
     def from_config(cfg: dict) -> "SupWeight":
-        return SupWeight(kind=cfg.get("kind", "const_one"), a=cfg.get("a"))
-
+        return SupWeight(**_config_kwargs(SupWeight, cfg, "sup weight", ()))
 
 def limit_constant(
     kind: TestKind | str,
@@ -305,36 +299,13 @@ class TestReport:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "test": self.test,
-            "statistic": self.statistic,
-            "limit_constant": self.limit_constant,
-            "limit_family": self.limit_family,
-            "gamma": self.gamma,
-            "threshold": self.threshold,
-            "p_value": self.p_value,
-            "decision": self.decision,
-            "config": self.config,
-            "warnings": self.warnings,
-        }
+        payload = {"schema_version": SCHEMA_VERSION, **asdict(self)}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "TestReport":
         data = json.loads(text)
-        return TestReport(
-            test=data["test"],
-            statistic=data["statistic"],
-            limit_constant=data["limit_constant"],
-            limit_family=data["limit_family"],
-            gamma=data["gamma"],
-            threshold=data["threshold"],
-            p_value=data["p_value"],
-            decision=data["decision"],
-            config=data.get("config", {}),
-            warnings=data.get("warnings", []),
-        )
+        return TestReport(**_config_kwargs(TestReport, data, "test report"))
 
 
 def _require_gamma(gamma: float):
@@ -622,7 +593,8 @@ def _chi2_radii(radii, R: float) -> np.ndarray:
     )
     if rr.ndim != 1 or rr.size < 1:
         raise ValueError("chi2 radii must be a nonempty 1-d sequence")
-    if rr[0] <= 0 or np.any(np.diff(rr) <= 0) or rr[-1] > R * (1 + 1e-12):
+    # written so that a NaN radius fails
+    if not (rr[0] > 0 and np.all(np.diff(rr) > 0) and rr[-1] <= R * (1 + 1e-12)):
         raise ValueError("chi2 radii must be strictly increasing in (0, R]")
     return rr
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,12 +39,12 @@ from .estimate import (
     restrict_pattern,
     sigma2_hat,
 )
-from .geometry import body_from_config, circumradius, window_from_config
+from .geometry import _config_kwargs, body_from_config, circumradius, window_from_config
 from .simulate import (
+    PoissonModel,
     SeedSpec,
     k_function,
     model_from_config,
-    model_to_config,
     simulate,
     theoretical_sigma2,
     theoretical_tau2,
@@ -84,7 +85,17 @@ class StudyConfig:
     ``windows`` is a ladder of window configs with strictly increasing
     volumes; most verdicts apply at the largest rung.  ``tolerances``
     overrides the per-study default bounds (each used bound is echoed in
-    the report's checks either way).
+    the report's checks either way).  A study reads only its own keys,
+    with these defaults; any other key, or a value that is not a finite
+    number, is an error:
+
+    - unbiasedness: ``se_multiple`` 3;
+    - variance_convergence: ``relative_error`` 0.15, ``decrease_slack`` 0;
+    - sigma2_consistency: ``relative_bias`` 0.10;
+    - null_level: ``level_low`` gamma - 0.03, ``level_high`` gamma + 0.05;
+    - power: ``power_at_largest`` 0.5, ``increase_slack`` 0.05;
+    - limit_law: ``limit_distance`` 0.08;
+    - estimator_equivalence: ``decrease_factor`` 2.
     """
 
     study: str
@@ -116,15 +127,14 @@ class StudyConfig:
             raise ValueError(
                 f"unknown study {self.study!r}; expected one of {STUDY_KINDS}"
             )
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _require_count("replicates", self.replicates)
+        SeedSpec(self.master_seed)  # master_seed must be a nonnegative integer
         if not self.windows:
             raise ValueError("at least one window is required")
         if not (0.0 < self.alpha <= 0.5):
             raise ValueError("alpha must lie in (0, 1/2]")
         gof._require_gamma(self.gamma)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _require_count("workers", self.workers)
         if not (self.limit_constant_scale > 0):
             raise ValueError("limit_constant_scale must be positive")
         # the resolution every run starts from, so a bad config fails here
@@ -132,50 +142,23 @@ class StudyConfig:
         _StudyContext(self)
 
     def to_config(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "study": self.study,
-            "model": self.model,
-            "null_model": self.null_model,
-            "windows": list(self.windows),
-            "body": self.body,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "alpha": self.alpha,
-            "R": self.R,
-            "gamma": self.gamma,
-            "statistics": list(self.statistics),
-            "estimator": self.estimator,
-            "estimators": list(self.estimators),
-            "radii": None if self.radii is None else list(self.radii),
-            "weight_V": self.weight_V,
-            "weight_v": self.weight_v,
-            "kernel": self.kernel,
-            "bandwidth": self.bandwidth,
-            "clamp": self.clamp,
-            "scaled_radius": self.scaled_radius,
-            "limit_constant_scale": self.limit_constant_scale,
-            "tolerances": dict(self.tolerances),
+        """JSON-ready dict of the fields, tuples written as lists."""
+        cfg = {
+            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()
         }
+        return {"schema_version": SCHEMA_VERSION, **cfg}
 
     @staticmethod
     def from_config(cfg: dict) -> "StudyConfig":
-        known = {
-            "study", "model", "null_model", "windows", "body", "replicates",
-            "master_seed", "workers", "alpha", "R", "gamma", "statistics",
-            "estimator", "estimators", "radii", "weight_V", "weight_v",
-            "kernel", "bandwidth", "clamp", "scaled_radius",
-            "limit_constant_scale", "tolerances",
-        }
-        extra = set(cfg) - known - {"schema_version"}
-        if extra:
-            raise ValueError(f"unknown study config keys: {sorted(extra)}")
-        kwargs = {k: cfg[k] for k in known if k in cfg}
-        for key in ("windows", "statistics", "estimators", "radii"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return StudyConfig(**kwargs)
+        kwargs = _config_kwargs(StudyConfig, cfg, "study config")
+        return StudyConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()}
+        )
+
+
+def _require_count(name: str, value):
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass
@@ -191,30 +174,13 @@ class StudyReport:
     timing: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "study": self.study,
-            "config": self.config,
-            "windows": self.windows,
-            "checks": self.checks,
-            "passed": self.passed,
-            "replicates": self.replicates,
-            "timing": self.timing,
-        }
+        payload = {"schema_version": SCHEMA_VERSION, **asdict(self)}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "StudyReport":
         data = json.loads(text)
-        return StudyReport(
-            study=data["study"],
-            config=data["config"],
-            windows=data["windows"],
-            checks=data["checks"],
-            passed=data["passed"],
-            replicates=data["replicates"],
-            timing=data.get("timing", {}),
-        )
+        return StudyReport(**_config_kwargs(StudyReport, data, "study report"))
 
     def to_csv(self) -> str:
         """One row per window per metric, for external plotting."""
@@ -226,6 +192,28 @@ class StudyReport:
                     f"{idx},{entry['volume']:.17g},{name},{value:.17g}"
                 )
         return "\n".join(lines) + "\n"
+
+
+def _tolerances(study: str, gamma: float, overrides) -> dict:
+    """Bound of each tolerance key the study reads: its default, or the
+    override; an override of another key or by a non-number is an error."""
+    bounds = {
+        "unbiasedness": {"se_multiple": 3.0},
+        "variance_convergence": {"relative_error": 0.15, "decrease_slack": 0.0},
+        "sigma2_consistency": {"relative_bias": 0.10},
+        "null_level": {"level_low": gamma - 0.03, "level_high": gamma + 0.05},
+        "power": {"power_at_largest": 0.5, "increase_slack": 0.05},
+        "limit_law": {"limit_distance": 0.08},
+        "estimator_equivalence": {"decrease_factor": 2.0},
+    }[study]
+    unknown = sorted(set(overrides) - set(bounds))
+    if unknown:
+        raise ValueError(f"unknown {study} tolerance keys: {unknown}")
+    for key, value in dict(overrides).items():
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"tolerance {key} must be a finite number, got {value!r}")
+        bounds[key] = float(value)
+    return bounds
 
 
 def _check(name: str, value: float, bound: float, comparison: str) -> dict:
@@ -270,6 +258,7 @@ class _StudyContext:
         KernelKind(cfg.kernel)
         self.radii = None if cfg.radii is None else np.asarray(cfg.radii, dtype=float)
         kind = cfg.study
+        self.tolerances = _tolerances(kind, cfg.gamma, cfg.tolerances)
         if kind in _TEST_STUDIES:
             two = [s in gof._TWO_SAMPLE for s in self.statistics]
             if not two:
@@ -296,7 +285,7 @@ class _StudyContext:
                 raise ValueError("radii must be positive and strictly increasing")
             self.kfun = k_function(self.model, self.body)
         elif kind == "variance_convergence":
-            if model_to_config(self.model)["variant"] != "poisson":
+            if not isinstance(self.model, PoissonModel):
                 raise ValueError(
                     "variance_convergence requires a Poisson model (exact "
                     "covariance target)"
@@ -311,7 +300,7 @@ class _StudyContext:
             if np.any(self.radii < 0):
                 raise ValueError("radii must be nonnegative")
         elif kind == "estimator_equivalence":
-            if model_to_config(self.model)["variant"] != "poisson":
+            if not isinstance(self.model, PoissonModel):
                 raise ValueError("estimator_equivalence requires a Poisson model")
             if not (cfg.scaled_radius > 0):
                 raise ValueError("scaled_radius must be positive")
@@ -420,7 +409,7 @@ class _StudyContext:
         cfg = self.cfg
         lam = self.model.intensity
         windows, checks = [], []
-        tol_se = float(cfg.tolerances.get("se_multiple", 3.0))
+        tol_se = self.tolerances["se_multiple"]
         for w, vals in enumerate(per_window):
             metrics = {}
             for e_idx, est in enumerate(self.estimators):
@@ -471,9 +460,9 @@ class _StudyContext:
                 "target": target,
                 "relative_error": rel,
             }))
-        tol = float(cfg.tolerances.get("relative_error", 0.15))
+        tol = self.tolerances["relative_error"]
         checks = [_check("relative_error_largest", rel_errors[-1], tol, "<=")]
-        slack = float(cfg.tolerances.get("decrease_slack", 0.0))
+        slack = self.tolerances["decrease_slack"]
         for i in range(len(rel_errors) - 1):
             checks.append(_check(
                 f"relative_error_decreasing.{i}", rel_errors[i + 1],
@@ -497,7 +486,7 @@ class _StudyContext:
                 "target": target,
                 "relative_bias": abs(mean - target) / target,
             }))
-        tol = float(cfg.tolerances.get("relative_bias", 0.10))
+        tol = self.tolerances["relative_bias"]
         checks = [_check(
             "relative_bias_largest",
             windows[-1]["metrics"]["relative_bias"], tol, "<=",
@@ -527,7 +516,7 @@ class _StudyContext:
                 "normalized_mse.ht_vs_naive": mse_naive,
                 "normalized_mse.ht_vs_plugin": mse_plug,
             }))
-        factor = float(cfg.tolerances.get("decrease_factor", 2.0))
+        factor = self.tolerances["decrease_factor"]
         checks = []
         for name, seq in (("ht_vs_naive", seq_naive), ("ht_vs_plugin", seq_plug)):
             if len(seq) > 1 and seq[-1] > 0:
@@ -563,8 +552,8 @@ class _StudyContext:
             windows.append(self._window_entry(w, metrics))
         checks = []
         if cfg.study == "null_level":
-            lo = float(cfg.tolerances.get("level_low", cfg.gamma - 0.03))
-            hi = float(cfg.tolerances.get("level_high", cfg.gamma + 0.05))
+            lo = self.tolerances["level_low"]
+            hi = self.tolerances["level_high"]
             for stat in self.statistics:
                 checks.append(_check(
                     f"level_low.{stat.value}", rates[stat][-1], lo, ">=",
@@ -573,8 +562,8 @@ class _StudyContext:
                     f"level_high.{stat.value}", rates[stat][-1], hi, "<=",
                 ))
         elif cfg.study == "power":
-            bound = float(cfg.tolerances.get("power_at_largest", 0.5))
-            slack = float(cfg.tolerances.get("increase_slack", 0.05))
+            bound = self.tolerances["power_at_largest"]
+            slack = self.tolerances["increase_slack"]
             for stat in self.statistics:
                 checks.append(_check(
                     f"power_largest.{stat.value}", rates[stat][-1], bound, ">=",
@@ -585,7 +574,7 @@ class _StudyContext:
                         rates[stat][i + 1], rates[stat][i] - slack, ">=",
                     ))
         else:
-            bound = float(cfg.tolerances.get("limit_distance", 0.08))
+            bound = self.tolerances["limit_distance"]
             for stat in self.statistics:
                 checks.append(_check(
                     f"limit_distance.{stat.value}", dists[stat][-1], bound, "<=",
@@ -625,8 +614,8 @@ def _ks_distance(normalized: np.ndarray, family: str) -> float:
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(cfg_json: str):
-    _WORKER_CTX["ctx"] = _StudyContext(StudyConfig.from_config(json.loads(cfg_json)))
+def _init_worker(config: StudyConfig):
+    _WORKER_CTX["ctx"] = _StudyContext(config)
 
 
 def _run_task(task: tuple) -> np.ndarray:
@@ -655,12 +644,11 @@ def run_study(config: StudyConfig | dict) -> StudyReport:
     if workers == 1:
         results = [ctx.replicate(*t) for t in tasks]
     else:
-        cfg_json = json.dumps(config.to_config())
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
             initializer=_init_worker,
-            initargs=(cfg_json,),
+            initargs=(config,),
         ) as pool:
             results = list(pool.map(_run_task, tasks, chunksize=chunk))
     elapsed = time.perf_counter() - started

@@ -15,7 +15,8 @@ distributed over worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -24,6 +25,7 @@ from .geometry import (
     BodyShape,
     ObservationWindow,
     StructuringBody,
+    _config_kwargs,
     body_volume,
 )
 from .pattern import PointPattern
@@ -130,10 +132,10 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
-        if int(self.stream_index) != self.stream_index or self.stream_index < 0:
-            raise ValueError("stream_index must be a nonnegative integer")
+        for name in ("master_seed", "stream_index"):
+            v = getattr(self, name)  # an integral float passes, NaN and inf fail
+            if not isinstance(v, numbers.Real) or v != v // 1 or v < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
 
     def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
@@ -332,24 +334,23 @@ def theoretical_tau2(intensity: float, body: StructuringBody, s: float, t: float
     return 2.0 * lam**2 * lo**d * vol * (1.0 + 2.0 * lam * hi**d * vol)
 
 
+_VARIANTS = {
+    "poisson": PoissonModel,
+    "thomas": ThomasModel,
+    "matern_cluster": MaternClusterModel,
+}
+# the one config key that is not a field name: Poisson's intensity
+_RENAMES = {PoissonModel: (("lambda", "intensity"),)}
+
+
 def model_to_config(model: ModelSpec) -> dict:
-    """JSON-ready dict describing the model."""
-    if isinstance(model, PoissonModel):
-        return {"variant": "poisson", "lambda": model.intensity}
-    if isinstance(model, ThomasModel):
-        return {
-            "variant": "thomas",
-            "kappa": model.kappa,
-            "mu": model.mu,
-            "sigma_c": model.sigma_c,
-        }
-    if isinstance(model, MaternClusterModel):
-        return {
-            "variant": "matern_cluster",
-            "kappa": model.kappa,
-            "mu": model.mu,
-            "r_c": model.r_c,
-        }
+    """JSON-ready dict describing the model: its variant and its fields."""
+    for variant, cls in _VARIANTS.items():
+        if type(model) is cls:
+            cfg = {"variant": variant, **asdict(model)}
+            for key, name in _RENAMES.get(cls, ()):
+                cfg[key] = cfg.pop(name)
+            return cfg
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -359,10 +360,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
         variant = cfg["variant"]
     except (TypeError, KeyError) as exc:
         raise ValueError("model config must be a dict with a 'variant' key") from exc
-    if variant == "poisson":
-        return PoissonModel(intensity=cfg["lambda"])
-    if variant == "thomas":
-        return ThomasModel(kappa=cfg["kappa"], mu=cfg["mu"], sigma_c=cfg["sigma_c"])
-    if variant == "matern_cluster":
-        return MaternClusterModel(kappa=cfg["kappa"], mu=cfg["mu"], r_c=cfg["r_c"])
-    raise ValueError(f"unknown model variant {variant!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown model variant {variant!r}")
+    cls = _VARIANTS[variant]
+    kwargs = _config_kwargs(cls, cfg, f"{variant} model", ("variant",), _RENAMES.get(cls, ()))
+    return cls(**kwargs)

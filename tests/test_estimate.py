@@ -66,6 +66,9 @@ def test_eval_k_domain_errors():
         k.eval(-0.1)
     with pytest.raises(ValueError):
         k.eval(2.0000001)
+    for bad in (float("nan"), [0.5, float("nan")], float("inf")):
+        with pytest.raises(ValueError, match="evaluation radius outside"):
+            k.eval(bad)
 
 
 def test_eval_k_vectorized_monotone():

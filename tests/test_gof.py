@@ -1,5 +1,6 @@
 """Test-statistic oracles, limit constants, decisions and degenerate paths."""
 
+import dataclasses
 import json
 import math
 
@@ -133,10 +134,23 @@ def test_sup_weight_validation():
 
 
 def test_weight_config_roundtrips():
-    for w in (IntegralWeight(), IntegralWeight("exp_density", b=0.7)):
-        assert IntegralWeight.from_config(w.to_config()) == w
-    for v in (SupWeight(), SupWeight("exp_decay", a=3.0)):
-        assert SupWeight.from_config(v.to_config()) == v
+    for cls, weights, other in (
+        (IntegralWeight, (IntegralWeight(), IntegralWeight("exp_density", b=0.7)), "a"),
+        (SupWeight, (SupWeight(), SupWeight("exp_decay", a=3.0)), "b"),
+    ):
+        for w in weights:
+            assert cls.from_config(w.to_config()) == w
+            text = json.dumps(w.to_config())
+            assert cls.from_config(json.loads(text)) == w
+        # the keys are the field names, less a parameter the kind does not take
+        assert set(weights[0].to_config()) == {"kind"}
+        assert set(weights[1].to_config()) == {f.name for f in dataclasses.fields(cls)}
+        assert cls.from_config({}) == weights[0]
+        with pytest.raises(ValueError, match=f"unknown .* keys: \\['{other}'\\]"):
+            cls.from_config(dict(weights[1].to_config(), **{other: 2.0}))
+    # a stray parameter is no longer dropped in silence
+    with pytest.raises(ValueError, match="unknown integral weight keys"):
+        IntegralWeight.from_config({"kind": "lebesgue", "a": 2.0})
 
 
 def test_exp_density_integral_against_simpson():
@@ -729,20 +743,34 @@ def test_two_sample_report_schema():
     assert data["config"]["window_b"]["shape"] == "box"
 
 
-def test_two_sample_cvm_matches_manual_integration():
-    """Step-difference integral recomputed from the two raw estimates."""
-    pa, pb = poisson_pair(side=15.0)
-    R = 0.3
-    rep = two_sample_cvm(pa, pb, L2, 0.5, R)
+def _two_sample_pieces(pa, pb, R):
+    """Merged breakpoints of two raw scaled estimates and their difference
+    on each piece, read off two fresh lookups."""
     da = scaled_delta(pa, L2, 1.0, POISSON_K, 0.5, R)
     db = scaled_delta(pb, L2, 1.0, POISSON_K, 0.5, R)
     cuts = np.unique(np.concatenate(
         ([0.0], da.empirical.jump_radii, db.empirical.jump_radii, [R])
     ))
+    diffs = [da.empirical.eval(lo) - db.empirical.eval(lo) for lo in cuts[:-1]]
+    return cuts, np.array(diffs)
+
+
+@pytest.mark.parametrize("weight", [
+    IntegralWeight(), IntegralWeight("exp_density", b=200.0),
+], ids=["lebesgue", "exp_density"])
+def test_two_sample_cvm_matches_manual_integration(weight):
+    """Step-difference integral recomputed from the two raw estimates, with
+    each piece's dV mass by adaptive quadrature."""
+    pa, pb = poisson_pair(side=15.0)
+    R = 0.3
+    rep = two_sample_cvm(pa, pb, L2, 0.5, R, weight=weight)
+    cuts, diffs = _two_sample_pieces(pa, pb, R)
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        diff = da.empirical.eval(lo) - db.empirical.eval(lo)
-        total += diff**2 * (hi - lo)
+    for lo, hi, diff in zip(cuts[:-1], cuts[1:], diffs):
+        mass, _ = integrate.quad(
+            lambda r: float(weight.density(r, 2)), lo, hi, epsabs=0.0, epsrel=1e-13
+        )
+        total += diff**2 * mass
     lam_a, lam2_a, s2_a = _clamped_denominators(pa)
     lam_b, lam2_b, s2_b = _clamped_denominators(pb)
     vol = pa.window.volume()
@@ -750,6 +778,26 @@ def test_two_sample_cvm_matches_manual_integration():
         lam_a - lam_b
     ) ** 2 / (s2_a + s2_b)
     assert rep.statistic == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("weight", [
+    SupWeight(), SupWeight("exp_decay", a=8.0),
+], ids=["const_one", "exp_decay"])
+def test_two_sample_ks_matches_left_endpoint_maximum(weight):
+    """The weighted step difference peaks at a piece's left end, since v is
+    nonincreasing; the sup is the largest of those values."""
+    pa, pb = poisson_pair(side=15.0)
+    R = 0.3
+    rep = two_sample_ks(pa, pb, L2, 0.5, R, weight=weight)
+    cuts, diffs = _two_sample_pieces(pa, pb, R)
+    sup = max(abs(diff) * float(weight.eval(lo)) for lo, diff in zip(cuts[:-1], diffs))
+    lam_a, lam2_a, s2_a = _clamped_denominators(pa)
+    lam_b, lam2_b, s2_b = _clamped_denominators(pb)
+    vol = pa.window.volume()
+    oracle = sup / math.sqrt(lam2_a * s2_a + lam2_b * s2_b) + math.sqrt(vol) * abs(
+        lam_a - lam_b
+    ) / math.sqrt(s2_a + s2_b)
+    assert rep.statistic == pytest.approx(oracle, rel=1e-12)
 
 
 def test_merged_steps_match_fresh_sort():
@@ -784,6 +832,7 @@ def test_merged_steps_match_fresh_sort():
 _BAD_OPTIONS = {
     "exp_decay_below_d_over_R": ({"sup_weight": SupWeight("exp_decay", a=0.5)}, "a >= d/R"),
     "chi2_radii_decreasing": ({"tests": ("chi2",), "radii": [0.5, 0.2]}, "strictly increasing"),
+    "chi2_radii_nan": ({"tests": ("chi2",), "radii": [0.2, float("nan")]}, "strictly increasing"),
     "scaled_domain": ({"R": 1.0}, "shrink R or alpha"),
     "kernel_support": ({"bandwidth": 0.6}, "kernel support"),
     "gamma_zero": ({"gamma": 0.0}, "gamma must lie"),
@@ -829,6 +878,16 @@ def test_report_json_roundtrip():
     rep = ks_statistic(p, L2, 1.0, POISSON_K, 0.5, 0.05, bandwidth=0.05)
     back = Report.from_json(rep.to_json())
     assert back == rep
+    # every field set, warnings too, and the JSON keys are the field names
+    warned = dataclasses.replace(rep, warnings=["SMALL_ALPHA: test"])
+    assert Report.from_json(warned.to_json()) == warned
+    data = json.loads(warned.to_json())
+    assert set(data) == {f.name for f in dataclasses.fields(Report)} | {"schema_version"}
+    with pytest.raises(ValueError, match=r"unknown test report keys: \['extra'\]"):
+        Report.from_json(json.dumps(dict(data, extra=1)))
+    del data["threshold"]
+    with pytest.raises(ValueError, match=r"missing test report keys: \['threshold'\]"):
+        Report.from_json(json.dumps(data))
 
 
 def test_report_json_is_sorted_and_stable():

@@ -5,6 +5,7 @@ bookkeeping, worker-count invariance, aggregation, and report formats.
 The statistically strict runs live in the acceptance suite.
 """
 
+import dataclasses
 import json
 import math
 
@@ -82,6 +83,18 @@ def test_config_roundtrip():
     assert again == cfg
     # and the dict itself survives a JSON trip
     assert StudyConfig.from_config(json.loads(json.dumps(cfg.to_config()))) == cfg
+    # its keys are the field names, and no field keeps its default
+    names = {f.name for f in dataclasses.fields(StudyConfig)}
+    assert set(cfg.to_config()) == names | {"schema_version"}
+    for f in dataclasses.fields(StudyConfig):
+        if f.default_factory is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) != f.default_factory(), f.name
+        elif f.default is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) != f.default, f.name
+    required = dict(cfg.to_config())
+    del required["replicates"]
+    with pytest.raises(ValueError, match=r"missing study config keys: \['replicates'\]"):
+        StudyConfig.from_config(required)
 
 
 def test_config_rejections():
@@ -211,6 +224,31 @@ _LATE_ERRORS = {
     "kernel_support_reaches_inradius": ({"bandwidth": 0.5}, "kernel support"),
     "sigma2_kernel_support": (
         {"study": "sigma2_consistency", "bandwidth": 0.5}, "kernel support"),
+    "chi2_radii_nan": (
+        {"statistics": ["chi2"], "radii": [0.2, float("nan")]}, "strictly increasing"),
+    "master_seed_negative": ({"master_seed": -1}, "master_seed must be"),
+    "master_seed_fractional": ({"master_seed": 1.5}, "master_seed must be"),
+    "replicates_fractional": ({"replicates": 2.5}, "replicates must be an integer"),
+    "workers_fractional": ({"workers": 1.5}, "workers must be an integer"),
+    "tolerance_key_typo": (
+        {"tolerances": {"level_lo": 0.0}}, r"unknown null_level tolerance keys: \['level_lo'\]"),
+    "tolerance_key_of_other_study": (
+        {"tolerances": {"se_multiple": 4.0}}, "unknown null_level tolerance keys"),
+    "tolerance_not_a_number": (
+        {"tolerances": {"level_low": "low"}}, "tolerance level_low must be a finite number"),
+    "tolerance_nan": (
+        {"tolerances": {"level_high": float("nan")}}, "tolerance level_high must be"),
+    "unknown_model_key": (
+        {"model": {"variant": "poisson", "lambda": 1.0, "sigma_c": 0.5}},
+        r"unknown poisson model keys: \['sigma_c'\]"),
+    "unknown_null_model_key": (
+        {"null_model": {"variant": "poisson", "lambda": 1.0, "r_c": 0.5}},
+        r"unknown poisson model keys: \['r_c'\]"),
+    "unknown_weight_V_key": (
+        {"statistics": ["cvm"], "weight_V": {"kind": "lebesgue", "a": 2.0}},
+        r"unknown integral weight keys: \['a'\]"),
+    "unknown_weight_v_key": (
+        {"weight_v": {"kind": "const_one", "b": 2.0}}, r"unknown sup weight keys: \['b'\]"),
 }
 
 
@@ -539,6 +577,14 @@ def test_report_json_roundtrip(unbias_report):
     text = unbias_report.to_json()
     assert text.endswith("\n")
     assert StudyReport.from_json(text) == unbias_report
+    # its keys are the field names; every field is set
+    data = json.loads(text)
+    assert set(data) == {f.name for f in dataclasses.fields(StudyReport)} | {
+        "schema_version"
+    }
+    assert data["timing"] and data["windows"] and data["checks"]
+    with pytest.raises(ValueError, match=r"unknown study report keys: \['extra'\]"):
+        StudyReport.from_json(json.dumps(dict(data, extra=1)))
     # stable key order
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 

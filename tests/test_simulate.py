@@ -1,5 +1,7 @@
 """Simulator determinism, count statistics and theoretical-oracle tests."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -51,6 +53,10 @@ def test_seed_spec_guards():
         SeedSpec(1.5)
     with pytest.raises(ValueError):
         SeedSpec(7, stream_index=-3)
+    for bad in (float("nan"), float("inf"), None, "7"):
+        with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
+            SeedSpec(bad)
+    assert SeedSpec(3.0).rng().random() == SeedSpec(3).rng().random()
 
 
 def test_model_config_roundtrip():
@@ -61,10 +67,22 @@ def test_model_config_roundtrip():
     ]
     for m in models:
         assert model_from_config(model_to_config(m)) == m
+        assert model_from_config(json.loads(json.dumps(model_to_config(m)))) == m
+        # the keys are the variant and the field names, Poisson's renamed
+        names = {f.name for f in dataclasses.fields(m)} - {"intensity"}
+        assert set(model_to_config(m)) - {"variant", "lambda"} == names
+    assert model_to_config(models[0]) == {"variant": "poisson", "lambda": 2.5}
     with pytest.raises(ValueError):
         model_from_config({"variant": "hawkes"})
     with pytest.raises(ValueError):
         model_from_config({"lambda": 1.0})
+    # keys are read exactly: no stray parameter, no field name for lambda
+    with pytest.raises(ValueError, match=r"unknown poisson model keys: \['sigma_c'\]"):
+        model_from_config({"variant": "poisson", "lambda": 1.0, "sigma_c": 0.5})
+    with pytest.raises(ValueError, match=r"unknown poisson model keys: \['intensity'\]"):
+        model_from_config({"variant": "poisson", "intensity": 1.0})
+    with pytest.raises(ValueError, match=r"missing thomas model keys: \['sigma_c'\]"):
+        model_from_config({"variant": "thomas", "kappa": 1.0, "mu": 2.0})
 
 
 def test_cluster_intensity_property():
