@@ -19,7 +19,6 @@ from .geometry import (
     gauge_norm,
     unit_ball_volume,
     window_from_config,
-    window_to_config,
 )
 from .pattern import PointPattern, load_pattern, save_pattern
 from .simulate import (

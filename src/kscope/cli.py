@@ -25,17 +25,15 @@ from .geometry import (
     Disk,
     StructuringBody,
     body_to_config,
-    window_to_config,
 )
 from .mcharness import StudyConfig, run_study
 from .pattern import load_pattern, save_pattern
 from .simulate import (
-    MaternClusterModel,
     PoissonModel,
     SeedSpec,
-    ThomasModel,
     k_function,
     k_function_from_table,
+    model_from_config,
     model_to_config,
     simulate,
 )
@@ -110,19 +108,17 @@ def _write_json(path: Path, payload: dict):
 
 
 def _build_model(args):
-    if args.model == "poisson":
-        if args.intensity is None:
-            raise _CliError("poisson model requires --lambda")
-        return PoissonModel(args.intensity)
-    if args.model == "thomas":
-        if None in (args.kappa, args.mu, args.sigma_c):
-            raise _CliError("thomas model requires --kappa, --mu and --sigma-c")
-        return ThomasModel(args.kappa, args.mu, args.sigma_c)
-    if args.model == "matern_cluster":
-        if None in (args.kappa, args.mu, args.r_c):
-            raise _CliError("matern_cluster model requires --kappa, --mu and --r-c")
-        return MaternClusterModel(args.kappa, args.mu, args.r_c)
-    raise _CliError(f"unknown model {args.model!r}")
+    """The ``--model`` read from the flags given, so another variant's flag fails."""
+    flags = {key: value for key, value in vars(args).items()
+             if key in ("lambda", "kappa", "mu", "sigma_c", "r_c") and value is not None}
+    return model_from_config({"variant": args.model, **flags})
+
+
+def _pattern_window(args):
+    """``--pattern-window``, which only the naive estimator accepts, else ``--window``."""
+    if args.pattern_window is not None and args.estimator != "naive":
+        raise _CliError("--pattern-window is only accepted with --estimator naive")
+    return _parse_window(args.pattern_window or args.window)
 
 
 def _load_null_k(path: str, dimension: int):
@@ -165,7 +161,7 @@ def _cmd_simulate(args) -> int:
         "schema_version": 1,
         "command": "simulate",
         "model": model_to_config(model),
-        "window": window_to_config(window),
+        "window": window.to_config(),
         "seed": {"master_seed": args.seed, "stream_index": args.stream},
         "n_points": len(pattern),
         "created_utc": _utc_now(),
@@ -178,7 +174,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_kfun(args) -> int:
     window = _parse_window(args.window)
     body = _parse_ball(args.ball, window.dimension)
-    pattern_window = _parse_window(args.pattern_window or args.window)
+    pattern_window = _pattern_window(args)
     pattern = load_pattern(args.pattern, pattern_window)
     estimate = k_hat(
         pattern, body, args.rmax, kind=args.estimator,
@@ -192,8 +188,8 @@ def _cmd_kfun(args) -> int:
         "estimator": args.estimator,
         "ball": body_to_config(body),
         "r_max": args.rmax,
-        "window": window_to_config(window),
-        "pattern_window": window_to_config(pattern_window),
+        "window": window.to_config(),
+        "pattern_window": pattern_window.to_config(),
         "pattern_path": str(args.pattern),
         "n_points": len(pattern),
         "created_utc": _utc_now(),
@@ -233,7 +229,7 @@ def _test_kwargs(args, extra: dict) -> dict:
 def _cmd_gof(args) -> int:
     window = _parse_window(args.window)
     body = _parse_ball(args.ball, window.dimension)
-    pattern_window = _parse_window(args.pattern_window or args.window)
+    pattern_window = _pattern_window(args)
     pattern = load_pattern(args.pattern, pattern_window)
     if args.lambda0 is None:
         raise _CliError("--lambda0 is required (the null intensity is known)")
@@ -343,7 +339,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="simulate a point pattern to CSV")
     sp.add_argument("--model", required=True,
                     choices=["poisson", "thomas", "matern_cluster"])
-    sp.add_argument("--lambda", dest="intensity", type=float, default=None,
+    sp.add_argument("--lambda", type=float, default=None,
                     help="Poisson intensity")
     sp.add_argument("--kappa", type=float, default=None, help="parent intensity")
     sp.add_argument("--mu", type=float, default=None,

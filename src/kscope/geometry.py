@@ -12,6 +12,9 @@ tests in this package:
 
 All volume formulas are exact (no quadrature), which lets the test-suite
 compare them against brute-force oracles at tight tolerances.
+
+Bodies and windows round-trip through config dicts; their readers, like
+every config reader in the package, raise ValueError naming an unknown or missing key.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "circumradius",
     "unit_ball_volume",
     "window_from_config",
-    "window_to_config",
     "body_from_config",
     "body_to_config",
 ]
@@ -417,23 +419,33 @@ def _elementary_symmetric(values: np.ndarray) -> list[float]:
     return e
 
 
-def window_to_config(w: ObservationWindow) -> dict:
-    """JSON-ready dict describing the window."""
-    return w.to_config()
+# the keys of each window shape besides "shape" and the optional "dim"
+_WINDOW_KEYS = {"box": ("bounds",), "disk": ("center", "radius")}
 
 
 def window_from_config(cfg: dict) -> ObservationWindow:
-    """Build a window from its config dict (inverse of window_to_config)."""
-    try:
-        shape = cfg["shape"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("window config must be a dict with a 'shape' key") from exc
+    """Build a window from its config dict (inverse of ``to_config``).
+
+    A box reads ``bounds``, a disk ``center`` and ``radius``.  ``dim`` is
+    optional, but when given it must equal the window's dimension.  An
+    unknown or missing key raises ValueError naming it.
+    """
+    if not isinstance(cfg, dict) or "shape" not in cfg:
+        raise ValueError("window config must be a dict with a 'shape' key")
+    shape = cfg["shape"]
+    if not isinstance(shape, str) or shape not in _WINDOW_KEYS:
+        raise ValueError(f"unknown window shape {shape!r}")
+    keys = _WINDOW_KEYS[shape]
+    _check_keys(cfg, f"{shape} window", ("shape", "dim") + keys, keys)
     if shape == "box":
         lower, upper = cfg["bounds"]
-        return Box(lower, upper)
-    if shape == "disk":
-        return Disk(cfg["center"], cfg["radius"])
-    raise ValueError(f"unknown window shape {shape!r}")
+        window = Box(lower, upper)
+    else:
+        window = Disk(cfg["center"], cfg["radius"])
+    if cfg.get("dim", window.dimension) != window.dimension:
+        raise ValueError(f"{shape} window config has dim {cfg['dim']!r}, but the "
+                         f"window is {window.dimension}-dimensional")
+    return window
 
 
 def body_to_config(body: StructuringBody) -> dict:
@@ -446,15 +458,23 @@ def body_to_config(body: StructuringBody) -> dict:
 
 
 def body_from_config(cfg: dict) -> StructuringBody:
-    """Build a structuring body from its config dict."""
-    try:
-        return StructuringBody(
-            dimension=cfg["dim"],
-            shape=BodyShape(cfg["shape"]),
-            radius_scale=cfg.get("radius_scale", 1.0),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValueError("body config must carry 'shape' and 'dim'") from exc
+    """Build a structuring body from its config dict (inverse of body_to_config)."""
+    return StructuringBody(
+        **_config_kwargs(StructuringBody, cfg, "body", (), (("dim", "dimension"),))
+    )
+
+
+def _check_keys(cfg, what: str, known, required):
+    """Raise ValueError naming any key of the dict ``cfg`` outside ``known``
+    and any of ``required`` it lacks."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a dict")
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
 
 
 def _config_kwargs(cls, cfg, what: str, skip=("schema_version",), renames=()) -> dict:
@@ -465,16 +485,10 @@ def _config_kwargs(cls, cfg, what: str, skip=("schema_version",), renames=()) ->
     ``name`` under ``key``.  An unknown key, or a missing one whose field
     has no default, raises ValueError naming it.
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{what} must be a dict")
     by_key = {f.name: f for f in fields(cls)}
     for key, name in renames:
         by_key[key] = by_key.pop(name)
-    unknown = sorted(set(cfg) - set(by_key) - set(skip))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    missing = [k for k, f in by_key.items() if k not in cfg and f.default is MISSING
-               and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"missing {what} keys: {missing}")
+    required = [k for k, f in by_key.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(cfg, what, set(by_key) | set(skip), required)
     return {f.name: cfg[key] for key, f in by_key.items() if key in cfg}

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 from .estimate import (
     EstimatorKind,
@@ -61,7 +61,6 @@ from .geometry import (
     _config_kwargs,
     body_to_config,
     body_volume,
-    window_to_config,
 )
 from .pattern import PointPattern
 
@@ -159,17 +158,11 @@ class IntegralWeight:
 
     def integral_r2d(self, R: float, d: int) -> float:
         """Integral of r^(2d) dV(r) over [0, R], used by the limit constant."""
+        m = 2 * d + 1
         if self.kind == "lebesgue":
-            return R ** (2 * d + 1) / (2 * d + 1)
-        val, _err = integrate.quad(
-            lambda r: r ** (2 * d) * math.exp(-self.b * r ** (2 * d + 1)),
-            0.0,
-            R,
-            epsabs=0.0,
-            epsrel=1e-10,
-            limit=200,
-        )
-        return val
+            return R**m / m
+        # d/dr of -exp(-b r^m) / (b m) is r^(2d) exp(-b r^m)
+        return -math.expm1(-self.b * R**m) / (self.b * m)
 
     def to_config(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -580,7 +573,7 @@ def _base_config(
         "kernel": KernelKind(kernel).value,
         "bandwidth": scaling.bandwidth,
         "clamp": bool(clamp),
-        "window": window_to_config(window),
+        "window": window.to_config(),
     }
     cfg.update(extra_config or {})
     return cfg
@@ -860,7 +853,7 @@ def two_sample_reports(
         extra_config,
     )
     base["n_points"] = [len(pa), len(pb)]
-    base["window_b"] = window_to_config(pb.window)
+    base["window_b"] = pb.window.to_config()
     reports = {}
     for kind, cal in calibrations.items():
         if kind is TestKind.TWO_CVM:

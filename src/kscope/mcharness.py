@@ -39,7 +39,9 @@ from .estimate import (
     restrict_pattern,
     sigma2_hat,
 )
-from .geometry import _config_kwargs, body_from_config, circumradius, window_from_config
+from .geometry import (
+    _check_keys, _config_kwargs, body_from_config, circumradius, window_from_config,
+)
 from .simulate import (
     PoissonModel,
     SeedSpec,
@@ -206,10 +208,8 @@ def _tolerances(study: str, gamma: float, overrides) -> dict:
         "limit_law": {"limit_distance": 0.08},
         "estimator_equivalence": {"decrease_factor": 2.0},
     }[study]
-    unknown = sorted(set(overrides) - set(bounds))
-    if unknown:
-        raise ValueError(f"unknown {study} tolerance keys: {unknown}")
-    for key, value in dict(overrides).items():
+    _check_keys(overrides, f"{study} tolerance", bounds, ())
+    for key, value in overrides.items():
         if not isinstance(value, numbers.Real) or not math.isfinite(value):
             raise ValueError(f"tolerance {key} must be a finite number, got {value!r}")
         bounds[key] = float(value)
@@ -406,7 +406,6 @@ class _StudyContext:
         }
 
     def _agg_unbiasedness(self, per_window):
-        cfg = self.cfg
         lam = self.model.intensity
         windows, checks = [], []
         tol_se = self.tolerances["se_multiple"]
@@ -441,7 +440,6 @@ class _StudyContext:
         return windows, checks
 
     def _agg_variance(self, per_window):
-        cfg = self.cfg
         lam = self.model.intensity
         s = float(self.radii.min())
         t = float(self.radii.max())
@@ -471,7 +469,6 @@ class _StudyContext:
         return windows, checks
 
     def _agg_sigma2(self, per_window):
-        cfg = self.cfg
         target = theoretical_sigma2(self.model)
         windows, checks = [], []
         mses = []

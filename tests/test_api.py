@@ -1,4 +1,4 @@
-"""Public names resolve, and no module imports a name it never uses."""
+"""Public names resolve, and no module imports or assigns a name it never uses."""
 
 import ast
 import importlib
@@ -49,3 +49,37 @@ def _unused_imports(path: Path) -> list:
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _unused_locals(path: Path) -> list:
+    """Names a function binds by plain assignment and never reads.
+
+    Tuple targets and ``_``-prefixed names are left alone, as are names a
+    function declares ``global`` or ``nonlocal``.  A read in a nested
+    function counts as a read.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        kept = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        kept.update(name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names)
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in kept:
+                    found.add(f"{path.name}:{t.lineno} {t.id}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert _unused_locals(path) == []

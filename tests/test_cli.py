@@ -96,7 +96,7 @@ def test_simulate_usage_errors(tmp_path, capsys):
     rc = main(["simulate", "--model", "thomas", "--kappa", "0.5",
                "--window", BOX10, "--seed", "1", "--out", out])
     assert rc == 1
-    assert "requires" in capsys.readouterr().err
+    assert "missing thomas model keys: ['mu', 'sigma_c']" in capsys.readouterr().err
     # malformed window specs
     for spec in ("box:0,0,10", "sphere:0,0,1", "box:a,b,c,d", "disk:1,2"):
         rc = main(["simulate", "--model", "poisson", "--lambda", "1",
@@ -107,6 +107,21 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["simulate", "--model", "nope", "--window", BOX10,
                  "--seed", "1", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("model, flags, stray", [
+    ("poisson", ["--lambda", "1", "--kappa", "2", "--r-c", "0.3"], "['kappa', 'r_c']"),
+    ("thomas", ["--kappa", "1", "--mu", "2", "--sigma-c", "0.3", "--r-c", "0.3"], "['r_c']"),
+    ("matern_cluster", ["--kappa", "1", "--mu", "2", "--r-c", "0.3", "--lambda", "1"],
+     "['lambda']"),
+])
+def test_simulate_rejects_other_variants_flags(tmp_path, capsys, model, flags, stray):
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--model", model, *flags, "--window", BOX10,
+               "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert f"unknown {model} model keys: {stray}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- kfun --------------------------------------------------------------------
@@ -157,6 +172,20 @@ def test_kfun_naive_needs_extended_pattern(files, tmp_path, capsys):
                "--pattern-window", BOX12, "--estimator", "naive",
                "--rmax", "1.0", "--out", str(tmp_path / "k.csv")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["kfun", "gof"])
+@pytest.mark.parametrize("estimator", ["ht", "border"])
+def test_pattern_window_needs_naive(files, tmp_path, capsys, command, estimator):
+    # --pattern-window would silently replace --window as the evaluation window
+    argv = [command, "--pattern", str(files["pat12"]), "--window", "box:1,1,11,11",
+            "--pattern-window", BOX12, "--estimator", estimator,
+            "--out", str(tmp_path / "o")]
+    argv += ["--rmax", "1"] if command == "kfun" else ["--stat", "ks", "--lambda0", "1",
+                                                       "--R", "1"]
+    assert main(argv) == 1
+    assert "--pattern-window is only accepted with --estimator naive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_kfun_guard_and_ball_errors(files, tmp_path, capsys):

@@ -17,7 +17,6 @@ from kscope.geometry import (
     gauge_norm,
     unit_ball_volume,
     window_from_config,
-    window_to_config,
 )
 
 
@@ -378,7 +377,7 @@ def test_covariance_deficit_ratio_bound():
 
 def test_window_config_roundtrip_box():
     w = Box([-1.0, 2.0, 0.25], [3.0, 4.5, 9.0])
-    w2 = window_from_config(window_to_config(w))
+    w2 = window_from_config(w.to_config())
     assert isinstance(w2, Box)
     assert np.array_equal(w2.lower, w.lower)
     assert np.array_equal(w2.upper, w.upper)
@@ -386,7 +385,7 @@ def test_window_config_roundtrip_box():
 
 def test_window_config_roundtrip_disk():
     w = Disk((1.5, -2.0), 4.25)
-    w2 = window_from_config(window_to_config(w))
+    w2 = window_from_config(w.to_config())
     assert isinstance(w2, Disk)
     assert np.array_equal(w2.center, w.center)
     assert w2.radius == w.radius
@@ -401,6 +400,8 @@ def test_body_config_roundtrip():
 def test_bad_configs_rejected():
     with pytest.raises(ValueError):
         window_from_config({"shape": "triangle"})
+    with pytest.raises(ValueError, match="unknown window shape"):
+        window_from_config({"shape": ["box"]})
     with pytest.raises(ValueError):
         window_from_config({"bounds": [[0], [1]]})
     with pytest.raises(ValueError):

@@ -161,6 +161,19 @@ def test_exp_density_integral_against_simpson():
     assert w.integral_r2d(R, d) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("b, d, R", [
+    (2.0, 2, 1.0), (200.0, 2, 1.0), (0.5, 3, 0.5), (1e-3, 2, 1.0), (1.3, 1, 2.5),
+    (50.0, 3, 1.5),  # b R^m = 854: the tail underflows
+])
+def test_exp_density_integral_closed_form(b, d, R):
+    # d/dr of -exp(-b r^m) / (b m) is r^(2d) exp(-b r^m), with m = 2d + 1
+    m = 2 * d + 1
+    exact = -math.expm1(-b * R**m) / (b * m)
+    assert IntegralWeight("exp_density", b=b).integral_r2d(R, d) == pytest.approx(
+        exact, rel=1e-14
+    )
+
+
 def test_piece_masses_match_quadrature():
     """Chunked Gauss-Legendre masses of exp_density pieces equal quadrature."""
     w = IntegralWeight("exp_density", b=1.3)

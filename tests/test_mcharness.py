@@ -249,6 +249,12 @@ _LATE_ERRORS = {
         r"unknown integral weight keys: \['a'\]"),
     "unknown_weight_v_key": (
         {"weight_v": {"kind": "const_one", "b": 2.0}}, r"unknown sup weight keys: \['b'\]"),
+    "unknown_body_key": (
+        {"body": dict(L2_BODY, radus_scale=2.0)}, r"unknown body keys: \['radus_scale'\]"),
+    "unknown_window_key": (
+        {"windows": [dict(box(12), centre=[6.0, 6.0])]},
+        r"unknown box window keys: \['centre'\]"),
+    "window_dim_mismatch": ({"windows": [dict(box(12), dim=3)]}, "has dim 3"),
 }
 
 
