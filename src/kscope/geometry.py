@@ -436,16 +436,24 @@ def window_from_config(cfg: dict) -> ObservationWindow:
     if not isinstance(shape, str) or shape not in _WINDOW_KEYS:
         raise ValueError(f"unknown window shape {shape!r}")
     keys = _WINDOW_KEYS[shape]
-    _check_keys(cfg, f"{shape} window", ("shape", "dim") + keys, keys)
+    what = f"{shape} window"
+    _check_keys(cfg, what, ("shape", "dim") + keys, keys)
     if shape == "box":
-        lower, upper = cfg["bounds"]
-        window = Box(lower, upper)
+        window = _config_value(cfg, what, "bounds", _box_from_bounds)
     else:
-        window = Disk(cfg["center"], cfg["radius"])
+        window = Disk(_config_value(cfg, what, "center", lambda v: _reals(v, 1)),
+                      _config_value(cfg, what, "radius", _real))
     if cfg.get("dim", window.dimension) != window.dimension:
         raise ValueError(f"{shape} window config has dim {cfg['dim']!r}, but the "
                          f"window is {window.dimension}-dimensional")
     return window
+
+
+def _box_from_bounds(bounds) -> Box:
+    rows = _reals(bounds, 2)
+    if rows.shape[0] != 2:
+        raise ValueError(f"expected two rows [lower, upper], got {rows.shape[0]}")
+    return Box(rows[0], rows[1])
 
 
 def body_to_config(body: StructuringBody) -> dict:
@@ -459,9 +467,41 @@ def body_to_config(body: StructuringBody) -> dict:
 
 def body_from_config(cfg: dict) -> StructuringBody:
     """Build a structuring body from its config dict (inverse of body_to_config)."""
-    return StructuringBody(
-        **_config_kwargs(StructuringBody, cfg, "body", (), (("dim", "dimension"),))
-    )
+    kwargs = _config_kwargs(StructuringBody, cfg, "body", (), (("dim", "dimension"),))
+    kwargs["dimension"] = _config_value(cfg, "body", "dim", _whole)
+    kwargs["shape"] = _config_value(cfg, "body", "shape", BodyShape)
+    if "radius_scale" in cfg:
+        kwargs["radius_scale"] = _config_value(cfg, "body", "radius_scale", _real)
+    return StructuringBody(**kwargs)
+
+
+def _config_value(cfg: dict, what: str, key: str, read):
+    """``read(cfg[key])``, re-raising its TypeError or ValueError as a
+    ValueError that names the record ``what`` and the key."""
+    try:
+        return read(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} key {key!r}: {exc}") from None
+
+
+def _reals(value, ndim: int) -> np.ndarray:
+    """A config array of ``ndim`` dimensions, of numbers only, as floats."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        what = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
+        raise ValueError(f"expected {what}, got {value!r}")
+    return arr.astype(float)
+
+
+def _real(value) -> float:
+    return float(_reals(value, 0))
+
+
+def _whole(value) -> int:
+    x = _real(value)
+    if not x.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(x)
 
 
 def _check_keys(cfg, what: str, known, required):

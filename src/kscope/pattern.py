@@ -71,8 +71,9 @@ class PointPattern:
                 f"point {bad} at {pts[bad].tolist()} lies outside the window"
             )
         if len(pts) > 1:
-            uniq = np.unique(pts, axis=0)
-            if uniq.shape[0] != pts.shape[0]:
+            # equal rows are adjacent in lexicographic order (0.0 == -0.0)
+            rows = pts[np.lexsort(pts.T)]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise ValueError("pattern contains duplicate points")
         self.points = pts
         self.window = window

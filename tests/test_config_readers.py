@@ -2,9 +2,11 @@
 back what its writer wrote, after a trip through JSON."""
 
 import json
+import re
 
 import pytest
 
+from kscope.cli import main
 from kscope.geometry import (
     BodyShape,
     Box,
@@ -108,3 +110,59 @@ def test_missing_keys_are_named(cfg, missing):
     with pytest.raises(ValueError) as err:
         reader(cfg)
     assert str(err.value) == missing
+
+
+DISK1 = {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}
+
+# (reader, config, message): a value of the wrong type or shape is named by
+# its record and key, as a ValueError
+WRONG_VALUES = [
+    (body_from_config, {"shape": "l2", "dim": None}, "body key 'dim': expected a number"),
+    (body_from_config, {"shape": "l2", "dim": "2"}, "body key 'dim': expected a number"),
+    (body_from_config, {"shape": "l2", "dim": 2.5}, "body key 'dim': expected a whole number"),
+    (body_from_config, {"shape": "l2", "dim": 2, "radius_scale": "1"},
+     "body key 'radius_scale': expected a number"),
+    (body_from_config, {"shape": "l7", "dim": 2}, "body key 'shape': 'l7' is not a valid"),
+    (window_from_config, dict(DISK1, radius="1"), "disk window key 'radius': expected a number"),
+    (window_from_config, dict(DISK1, center="0,0"),
+     "disk window key 'center': expected a list of numbers"),
+    (window_from_config, dict(BOX8, bounds=[[0.0, 0.0], [8.0, 8.0], [9.0, 9.0]]),
+     r"box window key 'bounds': expected two rows \[lower, upper\], got 3"),
+    (window_from_config, dict(BOX8, bounds=[[0.0, 0.0], [8.0]]), "box window key 'bounds'"),
+    (window_from_config, dict(BOX8, bounds=None),
+     "box window key 'bounds': expected a list of rows of numbers"),
+]
+
+
+@pytest.mark.parametrize("read, cfg, message", WRONG_VALUES)
+def test_wrong_value_types_name_record_and_key(read, cfg, message):
+    with pytest.raises(ValueError, match=message):
+        read(cfg)
+
+
+@pytest.mark.parametrize("read, cfg, message", WRONG_VALUES[:1] + WRONG_VALUES[5:8])
+def test_mc_exits_1_naming_the_wrong_value(tmp_path, capsys, read, cfg, message):
+    study = {
+        "study": "unbiasedness", "model": {"variant": "poisson", "lambda": 1.0},
+        "windows": [BOX8, dict(BOX8, bounds=[[0.0, 0.0], [9.0, 9.0]])],
+        "body": {"shape": "l2", "dim": 2, "radius_scale": 1.0},
+        "replicates": 2, "master_seed": 1, "radii": [0.3],
+    }
+    if read is body_from_config:
+        study["body"] = cfg
+    else:
+        study["windows"] = [cfg, dict(BOX8, bounds=[[0.0, 0.0], [9.0, 9.0]])]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study), encoding="utf-8")
+    assert main(["mc", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message, err)
+
+
+def test_numeric_values_of_any_number_type_are_read():
+    assert body_from_config({"shape": "l2", "dim": 2.0, "radius_scale": 2}) == StructuringBody(
+        2, BodyShape.L2_BALL, 2.0)
+    box = window_from_config({"shape": "box", "bounds": [[0, 0], [8, 8]]})
+    assert box.to_config() == dict(BOX8, dim=2)
+    assert window_from_config(dict(DISK1, radius=1)).to_config() == dict(DISK1, dim=2)

@@ -40,8 +40,13 @@ from kscope.gof import (
     two_sample_cvm,
     two_sample_ks,
     two_sample_reports,
+    _GL_BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _cvm_integral,
     _ks_sup,
     _merged_steps,
+    _piece_integrals,
     _piece_masses,
 )
 from kscope.pattern import PointPattern
@@ -175,12 +180,13 @@ def test_exp_density_integral_closed_form(b, d, R):
 
 
 def test_piece_masses_match_quadrature():
-    """Chunked Gauss-Legendre masses of exp_density pieces equal quadrature."""
+    """Blocked Gauss-Legendre masses of exp_density pieces equal quadrature."""
     w = IntegralWeight("exp_density", b=1.3)
     R = 1.2
-    t = np.linspace(0.0, R, 45_002)  # 45,001 pieces span three chunks
+    t = np.linspace(0.0, R, 45_002)  # 45,001 pieces span many blocks
     masses = _piece_masses(t, w, 2)
     assert masses.shape == (45_001,)
+    assert 45_001 % _GL_BLOCK  # the last block is a partial one
 
     def mass(lo, hi):
         return integrate.quad(
@@ -188,8 +194,52 @@ def test_piece_masses_match_quadrature():
         )[0]
 
     assert masses.sum() == pytest.approx(mass(0.0, R), rel=1e-12)
-    for k in (0, 19_999, 20_000, 45_000):
+    # the pieces on each side of two block boundaries, and the last piece
+    for k in (0, _GL_BLOCK - 1, _GL_BLOCK, 2 * _GL_BLOCK - 1, 2 * _GL_BLOCK,
+              19_999, 20_000, 45_000):
         assert masses[k] == pytest.approx(mass(t[k], t[k + 1]), rel=1e-12)
+
+
+def test_piece_integrals_do_not_depend_on_the_block():
+    """Each piece's value is the one-shot 16-node rule on its own row."""
+    rng = np.random.default_rng(5)
+    t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 2 * _GL_BLOCK + 300)), [2.0]))
+    steps = rng.uniform(0.0, 3.0, t.size - 1)
+
+    def integrand(r, rows):
+        return (steps[rows, None] - r**2) ** 2 * np.exp(-0.7 * r**5)
+
+    lo, hi = t[:-1], t[1:]
+    halves = (hi - lo) / 2.0
+    r = (lo + hi)[:, None] / 2.0 + halves[:, None] * _GL_NODES[None, :]
+    one_shot = halves * (integrand(r, slice(None)) * _GL_WEIGHTS[None, :]).sum(axis=1)
+    assert np.array_equal(_piece_integrals(t, integrand), one_shot)
+
+
+def test_thomas_exp_density_cvm_matches_quadrature():
+    """The quadrature path of the CvM integral, over several blocks, equals
+    per-piece adaptive quadrature of the Thomas null."""
+    w = IntegralWeight("exp_density", b=2.0)
+    window = Box([0.0, 0.0], [16.0, 16.0])
+    p = simulate(THOMAS, window, SeedSpec(3, 0))
+    delta = scaled_delta(p, L2, THOMAS.intensity, THOMAS_K, 0.5, 0.8)
+    jumps = delta.empirical.jump_radii
+    jumps = jumps[jumps < delta.R]
+    assert delta.theory_power_beta is None
+    assert jumps.size > _GL_BLOCK
+    cuts = np.concatenate(([0.0], jumps, [delta.R]))
+    steps = np.concatenate(([0.0], delta.empirical.jump_values[: jumps.size]))
+    total = 0.0
+    for lo, hi, h in zip(cuts[:-1], cuts[1:], steps):
+        total += integrate.quad(
+            lambda r: (h - delta.theoretical(r)) ** 2 * math.exp(-2.0 * r**5),
+            lo, hi, epsabs=0.0, epsrel=1e-12,
+        )[0]
+    assert _cvm_integral(delta, w) == pytest.approx(total, rel=1e-11)
+    rep = cvm_statistic(p, L2, THOMAS.intensity, THOMAS_K, 0.5, 0.8, weight=w, clamp=True)
+    lam, lam2, s2 = _clamped_denominators(p)
+    oracle = total / (lam2 * s2) + p.window.volume() * (lam - THOMAS.intensity) ** 2 / s2
+    assert rep.statistic == pytest.approx(oracle, rel=1e-10)
 
 
 def test_exp_decay_sup_against_dense_grid():

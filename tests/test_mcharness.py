@@ -302,6 +302,21 @@ def test_worker_count_does_not_change_results():
     )
 
 
+def test_worker_count_does_not_change_weighted_thomas_results():
+    """The exp_density CvM statistics, over several Gauss-Legendre blocks
+    per replicate, do not depend on the worker count."""
+    thomas = {"variant": "thomas", "kappa": 0.25, "mu": 4.0, "sigma_c": 0.5}
+    for stat in ("cvm", "two_cvm"):
+        kwargs = dict(study="null_level", model=thomas, windows=(box(20), box(22)),
+                      replicates=4, radii=None, R=1.0, statistics=(stat,),
+                      weight_V={"kind": "exp_density", "b": 2.0})
+        serial = run_study(base_config(workers=1, **kwargs))
+        pooled = run_study(base_config(workers=2, **kwargs))
+        assert _strip_volatile(serial, drop_workers=True) == _strip_volatile(
+            pooled, drop_workers=True
+        )
+
+
 def test_thread_env_override(monkeypatch):
     cfg = base_config(replicates=6, windows=(box(5), box(6)), radii=(0.4,),
                       estimators=("ht",), workers=1)

@@ -75,6 +75,34 @@ def test_duplicate_points_rejected():
     assert len(p) == 2
 
 
+def test_duplicate_check_compares_whole_rows():
+    w = Box([0.0, 0.0, 0.0], [10.0, 10.0, 10.0])
+    # rows that share one or two coordinates, in any order, are distinct
+    pts = [[1.0, 2.0, 3.0], [1.0, 5.0, 3.0], [4.0, 2.0, 3.0], [1.0, 2.0, 6.0],
+           [4.0, 5.0, 6.0], [0.0, 2.0, 3.0]]
+    assert len(PointPattern(pts, w)) == 6
+    for dup in ([4.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="pattern contains duplicate points"):
+            PointPattern(pts[:3] + [dup] + pts[3:], w)
+    # 0.0 and -0.0 are the same coordinate
+    with pytest.raises(ValueError, match="pattern contains duplicate points"):
+        PointPattern([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0], [-0.0, 1.0, 2.0]], w)
+
+
+def test_duplicate_check_matches_unique_rows():
+    """The sorted adjacent-row check agrees with np.unique over random rows."""
+    rng = np.random.default_rng(11)
+    w = Box([0.0, 0.0], [3.0, 3.0])
+    for _ in range(200):
+        pts = rng.integers(0, 4, size=(int(rng.integers(2, 9)), 2)).astype(float)
+        has_dup = np.unique(pts, axis=0).shape[0] < pts.shape[0]
+        if has_dup:
+            with pytest.raises(ValueError, match="duplicate"):
+                PointPattern(pts, w)
+        else:
+            assert len(PointPattern(pts, w)) == len(pts)
+
+
 def test_nonfinite_coordinates_rejected():
     w = Box([0.0, 0.0], [10.0, 10.0])
     with pytest.raises(ValueError, match="non-finite"):
